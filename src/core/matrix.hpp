@@ -10,10 +10,125 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 namespace satgpu {
+
+/// Tag selecting Matrix's uninitialized constructor.
+struct Uninitialized {
+    explicit Uninitialized() = default;
+};
+inline constexpr Uninitialized kUninitialized{};
+
+#if defined(__linux__)
+namespace detail {
+
+/// Blocks of at least this many bytes bypass malloc: they are mapped
+/// directly, 2 MiB aligned, and marked eligible for transparent huge
+/// pages.  A 64 MiB table then takes 32 first-touch faults instead of
+/// 16384, and its release is one cheap munmap.  The cut-off is glibc's
+/// largest dynamic mmap threshold: malloc maps blocks this big afresh on
+/// every call anyway and never learns from their release, so bypassing
+/// it leaves its reuse of smaller blocks untouched.
+inline constexpr std::size_t kLargeBlockBytes = std::size_t{32} << 20;
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// Whether n elements of T take the large-block path.
+template <typename T>
+[[nodiscard]] constexpr bool is_large_block(std::size_t n) noexcept
+{
+    return n >= kLargeBlockBytes / sizeof(T) &&
+           n <= std::numeric_limits<std::size_t>::max() / sizeof(T);
+}
+
+[[nodiscard]] inline std::size_t large_block_length(std::size_t bytes)
+{
+    return (bytes + kHugePageBytes - 1) / kHugePageBytes * kHugePageBytes;
+}
+
+[[nodiscard]] inline void* map_large_block(std::size_t bytes)
+{
+    const std::size_t len = large_block_length(bytes);
+    void* const raw = ::mmap(nullptr, len + kHugePageBytes,
+                             PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED)
+        throw std::bad_alloc();
+    // Trim the over-allocation so the block starts on a 2 MiB boundary.
+    auto* const base = static_cast<std::byte*>(raw);
+    const std::size_t head =
+        (kHugePageBytes -
+         reinterpret_cast<std::uintptr_t>(base) % kHugePageBytes) %
+        kHugePageBytes;
+    if (head > 0)
+        ::munmap(base, head);
+    ::munmap(base + head + len, kHugePageBytes - head);
+    ::madvise(base + head, len, MADV_HUGEPAGE);
+    return base + head;
+}
+
+inline void unmap_large_block(void* p, std::size_t bytes) noexcept
+{
+    ::munmap(p, large_block_length(bytes));
+}
+
+} // namespace detail
+#endif
+
+/// Host allocator for image and device-buffer storage:
+///  * its value-less construct() DEFAULT-initializes, so
+///    `std::vector<T, DefaultInitAllocator<T>>(n)` of a trivial T leaves
+///    the elements unwritten -- no zero-fill pass, and the pages are first
+///    touched by whoever writes them (the engine's block workers, in
+///    parallel);
+///  * on Linux, blocks of at least 32 MiB are huge-page-eligible
+///    anonymous mappings (detail::map_large_block), which makes that
+///    first touch and the final release cheap.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+    using std::allocator<T>::allocator;
+
+#if defined(__linux__)
+    [[nodiscard]] T* allocate(std::size_t n)
+    {
+        if (detail::is_large_block<T>(n))
+            return static_cast<T*>(detail::map_large_block(n * sizeof(T)));
+        return std::allocator<T>::allocate(n);
+    }
+    void deallocate(T* p, std::size_t n) noexcept
+    {
+        if (detail::is_large_block<T>(n))
+            detail::unmap_large_block(p, n * sizeof(T));
+        else
+            std::allocator<T>::deallocate(p, n);
+    }
+#endif
+
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>)
+    {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
 
 /// Row-major H x W matrix with value semantics.
 template <typename T>
@@ -26,6 +141,15 @@ public:
     Matrix(std::int64_t height, std::int64_t width, T fill = T{})
         : height_(height), width_(width),
           data_(checked_size(height, width), fill)
+    {
+    }
+
+    /// Uninitialized H x W matrix: element values are indeterminate until
+    /// written.  Meant for storage a kernel pass overwrites in full (the
+    /// SAT result), where a fill would be a wasted write pass.
+    Matrix(std::int64_t height, std::int64_t width, Uninitialized)
+        : height_(height), width_(width),
+          data_(checked_size(height, width))
     {
     }
 
@@ -89,7 +213,7 @@ private:
 
     std::int64_t height_ = 0;
     std::int64_t width_ = 0;
-    std::vector<T> data_;
+    std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 /// Plain O(H*W) transpose, used as a test oracle for BRLT and the

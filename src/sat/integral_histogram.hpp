@@ -167,8 +167,7 @@ integral_histogram_batched(Runtime& rt, const Matrix<u8>& image, int bins,
         // Phase 1: stage the image once, lease one mask plane per bin from
         // the SAME partition, and bin every plane in ONE fused launch
         // (block (x, 0, z) bins plane z).  Leases release before the wave,
-        // so the wave's u8 staging reuses the mask buffers and the
-        // partition's high-water stays within workspace_bytes.
+        // so the partition's high-water stays within workspace_bytes.
         auto img = rt.pool().acquire<u8>(n, pool_partition);
         std::copy(image.flat().begin(), image.flat().end(),
                   img->host().begin());

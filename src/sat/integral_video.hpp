@@ -275,20 +275,19 @@ compute_integral_video(simt::Engine& eng,
     IntegralVideo<Tout> iv;
     iv.tables.reserve(frames.size());
     auto acc = simt::acquire_or_new<Tout>(opt.pool, n, opt.pool_partition);
-    auto cur = simt::acquire_or_new<Tout>(opt.pool, n, opt.pool_partition);
     for (const Matrix<Tin>* f : frames) {
         auto sat = tile.enabled()
                        ? compute_sat_tiled<Tout, Tin>(eng, *f, tile, opt)
                        : compute_sat<Tout, Tin>(eng, *f, opt);
-        std::copy(sat.table.flat().begin(), sat.table.flat().end(),
-                  cur->host().begin());
+        const auto cur =
+            simt::DeviceBuffer<Tout>::read_only_view(sat.table.flat());
         iv.launches.insert(iv.launches.end(),
                            std::make_move_iterator(sat.launches.begin()),
                            std::make_move_iterator(sat.launches.end()));
         // acc starts zeroed (pool contract), so IV[0] = 0 + SAT[0] runs
         // the same pass every later frame does.
         iv.launches.push_back(
-            launch_temporal_add<Tout>(eng, *cur, n, *acc, native));
+            launch_temporal_add<Tout>(eng, cur, n, *acc, native));
         iv.tables.push_back(acc->to_matrix(h, w));
     }
     return iv;
@@ -362,10 +361,6 @@ public:
           mode_(resolve_stream_mode(mode, make_pair_of<Tin, Tout>(), h, w,
                                     window)),
           win_(simt::acquire_or_new<Tout>(opt.pool, h * w,
-                                          opt.pool_partition)),
-          cur_(simt::acquire_or_new<Tout>(opt.pool, h * w,
-                                          opt.pool_partition)),
-          old_(simt::acquire_or_new<Tout>(opt.pool, h * w,
                                           opt.pool_partition))
     {
         SATGPU_EXPECTS(window > 0 && h > 0 && w > 0);
@@ -407,16 +402,17 @@ public:
             last_.insert(last_.end(),
                          std::make_move_iterator(sat.launches.begin()),
                          std::make_move_iterator(sat.launches.end()));
-            std::copy(sat.table.flat().begin(), sat.table.flat().end(),
-                      cur_->host().begin());
+            // The update reads the new SAT and the leaving ring slot in
+            // place.
+            const auto cur =
+                simt::DeviceBuffer<Tout>::read_only_view(sat.table.flat());
             if (pushed_ >= window_) {
-                const auto& leaving = sat_ring_[slot];
-                std::copy(leaving.flat().begin(), leaving.flat().end(),
-                          old_->host().begin());
+                const auto old = simt::DeviceBuffer<Tout>::read_only_view(
+                    sat_ring_[slot].flat());
                 last_.push_back(launch_window_update<Tout>(
-                    *eng_, *cur_, *old_, n, *win_, native));
+                    *eng_, cur, old, n, *win_, native));
             } else {
-                last_.push_back(launch_temporal_add<Tout>(*eng_, *cur_, n,
+                last_.push_back(launch_temporal_add<Tout>(*eng_, cur, n,
                                                           *win_, native));
             }
             if (sat_ring_.size() <= slot)
@@ -435,10 +431,11 @@ public:
                 last_.insert(last_.end(),
                              std::make_move_iterator(sat.launches.begin()),
                              std::make_move_iterator(sat.launches.end()));
-                std::copy(sat.table.flat().begin(), sat.table.flat().end(),
-                          cur_->host().begin());
-                last_.push_back(launch_temporal_add<Tout>(*eng_, *cur_, n,
-                                                          *win_, native));
+                last_.push_back(launch_temporal_add<Tout>(
+                    *eng_,
+                    simt::DeviceBuffer<Tout>::read_only_view(
+                        sat.table.flat()),
+                    n, *win_, native));
             }
         }
         ++pushed_;
@@ -449,6 +446,14 @@ public:
     [[nodiscard]] Matrix<Tout> window_table() const
     {
         return win_->to_matrix(h_, w_);
+    }
+
+    /// rect_sum(window_table(), ...) answered in four lookups on the
+    /// resident window buffer, without materializing the table.
+    [[nodiscard]] Tout window_sum(std::int64_t y0, std::int64_t x0,
+                                  std::int64_t y1, std::int64_t x1) const
+    {
+        return rect_sum(win_->host(), h_, w_, y0, x0, y1, x1);
     }
 
     [[nodiscard]] const std::vector<simt::LaunchStats>&
@@ -476,7 +481,7 @@ private:
     std::int64_t pushed_ = 0;
     std::vector<Matrix<Tout>> sat_ring_;  ///< kIncremental: resident SATs
     std::vector<Matrix<Tin>> frame_ring_; ///< kRecompute: raw frames
-    simt::BufferPool::Lease<Tout> win_, cur_, old_;
+    simt::BufferPool::Lease<Tout> win_;
     std::vector<simt::LaunchStats> last_;
 };
 

@@ -639,8 +639,10 @@ Plan Runtime::plan(const PlanRequest& req_in)
     const auto in_bytes = static_cast<std::int64_t>(dtype_size(req.dtypes.in));
     const auto out_bytes =
         static_cast<std::int64_t>(dtype_size(req.dtypes.out));
+    // Pooled intermediates only: compute_sat reads its input in place and
+    // writes the returned table directly, neither of which is leased.
     const auto per_image_bytes = [&](std::int64_t h, std::int64_t w) {
-        return h * w * (in_bytes + scratch_images(p.resolved_) * out_bytes);
+        return h * w * scratch_images(p.resolved_) * out_bytes;
     };
     if (query_enabled(req.query)) {
         // Query workspace high-water (outputs are plain DeviceBuffers, not

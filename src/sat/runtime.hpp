@@ -20,9 +20,10 @@
 // algorithm (Algorithm::kAuto asks model::CostModel to predict every
 // candidate's time on the target GPU and picks the fastest, keeping the
 // scores for introspection), the launch shapes, and the device workspace
-// footprint.  execute() / execute_batch() then run the launches with every
-// device buffer leased from the runtime's BufferPool, so steady-state
-// serving performs zero device allocations (asserted by tests).
+// footprint.  execute() / execute_batch() then run the launches reading the
+// image in place and writing the returned table directly, with every
+// intermediate device buffer leased from the runtime's BufferPool, so
+// steady-state serving performs zero pooled allocations (asserted by tests).
 #pragma once
 
 #include "model/gpu_specs.hpp"
@@ -293,8 +294,9 @@ public:
     /// Only probed when the request allowed kNative; always false for
     /// plain kSim requests (certification is never needed there).
     [[nodiscard]] bool certified() const noexcept { return certified_; }
-    /// Device bytes execute() leases per image.  Untiled: input staging
-    /// plus the algorithm's scratch images (proportional to the image).
+    /// Device bytes execute() leases per image.  Untiled: the algorithm's
+    /// scratch_images() intermediates (proportional to the image; the
+    /// input and the returned table are never leased).
     /// Tiled: an upper bound on the pool's high-water mark -- one
     /// per-tile workspace per distinct ragged tile shape plus
     /// carry_fanout carry buffers -- which is O(tile area) and

@@ -123,10 +123,11 @@ struct Options {
     /// BRLT staging stride: true = 32x33 (conflict free, the paper's
     /// choice), false = 32x32 (the bank-conflict ablation).
     bool padded_smem = true;
-    /// When set, every device buffer (input staging and per-algorithm
-    /// scratch) is leased from this pool instead of freshly allocated.
-    /// Results are bit-identical either way; the runtime layer always
-    /// passes its pool.  Not owned.
+    /// When set, every intermediate device buffer (scratch_images of them
+    /// per image) is leased from this pool instead of freshly allocated;
+    /// inputs and result tables are never pooled (they are read and
+    /// written in place).  Results are bit-identical either way; the
+    /// runtime layer always passes its pool.  Not owned.
     simt::BufferPool* pool = nullptr;
     /// BufferPool partition every lease comes from.  Partitions never
     /// share buffers, so per-client (per service plan) footprints stay
@@ -169,19 +170,22 @@ struct SatWaveResult {
     std::vector<simt::LaunchStats> launches;
 };
 
-/// Device scratch buffers (beyond the input staging buffer) an algorithm
-/// leases per invocation, in units of full h*w images of Tout.  Feeds the
-/// runtime's workspace accounting.
+/// Full-image Tout scratch buffers an algorithm leases from the pool per
+/// invocation.  The input is read in place and the last pass writes the
+/// returned table directly, so only intermediates count: the paper
+/// kernels' one transposed/row-scanned mid buffer, none for the in-place
+/// two-pass baselines, three for ScanTransposeScan.  Feeds the runtime's
+/// workspace accounting.
 [[nodiscard]] constexpr int scratch_images(Algorithm a) noexcept
 {
     switch (a) {
     case Algorithm::kBrltScanRow:
     case Algorithm::kScanRowBrlt:
-    case Algorithm::kScanRowColumn: return 2;
+    case Algorithm::kScanRowColumn: return 1;
     case Algorithm::kOpencvLike:
     case Algorithm::kNppLike:
-    case Algorithm::kNaiveScanScan: return 1;
-    case Algorithm::kScanTransposeScan: return 4;
+    case Algorithm::kNaiveScanScan: return 0;
+    case Algorithm::kScanTransposeScan: return 3;
     case Algorithm::kAuto: break;
     }
     return 0;
@@ -190,8 +194,7 @@ struct SatWaveResult {
 namespace detail {
 
 /// A wave's worth of pooled Tout scratch buffers: K leases of `count`
-/// elements each, acquired in image order so a K = 1 wave performs exactly
-/// the acquisitions the historical single-image path did.
+/// elements each, acquired in image order.
 template <typename Tout>
 struct ScratchSet {
     std::vector<simt::BufferPool::Lease<Tout>> leases;
@@ -227,28 +230,29 @@ struct ScratchSet {
 
 } // namespace detail
 
-/// Compute the inclusive SATs of K same-shaped images in one fused WAVE:
-/// every kernel pass of the chosen algorithm runs once with grid.z = K
-/// instead of K times, so the (modeled) fixed per-launch overhead is paid
-/// once per pass rather than once per image -- the request-coalescing lever
-/// the service layer uses.  Each fused block executes exactly like the
-/// corresponding block of a single-image launch (kernels never read
-/// block_idx().z), so every table is bit-identical to compute_sat on that
-/// image alone.  All device buffers come from Options::pool when one is
-/// set; a wave holds K workspaces concurrently, which is why service plans
-/// get their own pool partition.
+/// Run `opt.algorithm`'s kernel passes over K same-shaped h x w images as
+/// one fused WAVE: every pass runs once with grid.z = K instead of K
+/// times, so the (modeled) fixed per-launch overhead is paid once per pass
+/// rather than once per image -- the request-coalescing lever the service
+/// layer uses.  Each fused block executes exactly like the corresponding
+/// block of a single-image launch (kernels never read block_idx().z), so
+/// every table is bit-identical to a K = 1 wave on that image alone.
+/// Reads ins[i] and writes image i's inclusive SAT to outs[i]; the last
+/// pass overwrites every element of outs[i], so its prior contents never
+/// matter.  Only intermediates (scratch_images of them per image) are
+/// leased, from Options::pool when one is set.  Returns the launches.
 template <typename Tout, typename Tin>
-[[nodiscard]] SatWaveResult<Tout>
-compute_sat_wave(simt::Engine& eng,
-                 std::span<const Matrix<Tin>* const> images, Options opt = {})
+std::vector<simt::LaunchStats>
+launch_sat_wave(simt::Engine& eng,
+                std::span<const simt::DeviceBuffer<Tin>* const> ins,
+                std::int64_t h, std::int64_t w,
+                std::span<simt::DeviceBuffer<Tout>* const> outs,
+                const Options& opt)
 {
-    const std::size_t k = images.size();
-    SATGPU_EXPECTS(k > 0);
-    const std::int64_t h = images[0]->height();
-    const std::int64_t w = images[0]->width();
-    SATGPU_EXPECTS(h > 0 && w > 0);
-    for (const Matrix<Tin>* img : images)
-        SATGPU_EXPECTS(img->height() == h && img->width() == w);
+    const std::size_t k = ins.size();
+    SATGPU_EXPECTS(k > 0 && outs.size() == k && h > 0 && w > 0);
+    for (std::size_t i = 0; i < k; ++i)
+        SATGPU_EXPECTS(ins[i]->size() == h * w && outs[i]->size() == h * w);
     const simt::CheckScope check_scope(eng, opt.check);
     const simt::ProfileEnableScope profile_scope(eng, opt.profile);
     SATGPU_CHECK(opt.backend != Backend::kAuto,
@@ -262,122 +266,135 @@ compute_sat_wave(simt::Engine& eng,
                      "the native backend carries no instrumentation; "
                      "check/profile need Backend::kSim");
     }
-
-    std::vector<simt::BufferPool::Lease<Tin>> in_leases;
-    in_leases.reserve(k);
-    std::vector<const simt::DeviceBuffer<Tin>*> ins;
-    ins.reserve(k);
-    for (const Matrix<Tin>* img : images) {
-        in_leases.push_back(
-            simt::acquire_or_new<Tin>(opt.pool, h * w, opt.pool_partition));
-        std::copy(img->flat().begin(), img->flat().end(),
-                  in_leases.back()->host().begin());
-        ins.push_back(&*in_leases.back());
-    }
     const auto scratch = [&](std::int64_t count) {
         return detail::ScratchSet<Tout>(opt, k, count);
     };
-    const auto tables = [&](detail::ScratchSet<Tout>& set,
-                            std::vector<Matrix<Tout>>& out) {
-        out.reserve(k);
-        for (auto& l : set.leases)
-            out.push_back(l->to_matrix(h, w));
-    };
-    SatWaveResult<Tout> res;
+    std::vector<simt::LaunchStats> launches;
 
     switch (opt.algorithm) {
     case Algorithm::kBrltScanRow: {
-        auto mid = scratch(w * h), out = scratch(h * w);
-        res.launches.push_back(launch_brlt_scanrow_wave<Tout, Tin>(
+        auto mid = scratch(w * h);
+        launches.push_back(launch_brlt_scanrow_wave<Tout, Tin>(
             eng, ins, h, w, mid.outs(), opt.padded_smem,
             /*warps_override=*/0, native));
-        res.launches.push_back(launch_brlt_scanrow_wave<Tout, Tout>(
-            eng, mid.ins(), w, h, out.outs(), opt.padded_smem,
+        launches.push_back(launch_brlt_scanrow_wave<Tout, Tout>(
+            eng, mid.ins(), w, h, outs, opt.padded_smem,
             /*warps_override=*/0, native));
-        tables(out, res.tables);
         break;
     }
     case Algorithm::kScanRowBrlt: {
-        auto mid = scratch(w * h), out = scratch(h * w);
-        res.launches.push_back(launch_scanrow_brlt_wave<Tout, Tin>(
+        auto mid = scratch(w * h);
+        launches.push_back(launch_scanrow_brlt_wave<Tout, Tin>(
             eng, ins, h, w, mid.outs(), opt.warp_scan, opt.padded_smem,
             native));
-        res.launches.push_back(launch_scanrow_brlt_wave<Tout, Tout>(
-            eng, mid.ins(), w, h, out.outs(), opt.warp_scan,
-            opt.padded_smem, native));
-        tables(out, res.tables);
+        launches.push_back(launch_scanrow_brlt_wave<Tout, Tout>(
+            eng, mid.ins(), w, h, outs, opt.warp_scan, opt.padded_smem,
+            native));
         break;
     }
     case Algorithm::kScanRowColumn: {
-        auto mid = scratch(h * w), out = scratch(h * w);
-        res.launches.push_back(launch_scanrow_wave<Tout, Tin>(
+        auto mid = scratch(h * w);
+        launches.push_back(launch_scanrow_wave<Tout, Tin>(
             eng, ins, h, w, mid.outs(), opt.warp_scan, native));
-        res.launches.push_back(launch_scancolumn_wave<Tout>(
-            eng, mid.ins(), h, w, out.outs(), native));
-        tables(out, res.tables);
+        launches.push_back(launch_scancolumn_wave<Tout>(
+            eng, mid.ins(), h, w, outs, native));
         break;
     }
     case Algorithm::kOpencvLike: {
-        auto buf = scratch(h * w);
         if constexpr (std::is_same_v<Tin, std::uint8_t>) {
-            res.launches.push_back(
+            launches.push_back(
                 baselines::launch_opencv_horizontal_8u_wave<Tout>(
-                    eng, ins, h, w, buf.outs()));
+                    eng, ins, h, w, outs));
         } else {
-            res.launches.push_back(
+            launches.push_back(
                 baselines::launch_opencv_horizontal_wave<Tout, Tin>(
-                    eng, ins, h, w, buf.outs()));
+                    eng, ins, h, w, outs));
         }
-        res.launches.push_back(baselines::launch_opencv_vertical_wave<Tout>(
-            eng, buf.outs(), h, w));
-        tables(buf, res.tables);
+        launches.push_back(
+            baselines::launch_opencv_vertical_wave<Tout>(eng, outs, h, w));
         break;
     }
     case Algorithm::kNppLike: {
-        auto buf = scratch(h * w);
-        res.launches.push_back(baselines::launch_npp_scanrow_wave<Tout, Tin>(
-            eng, ins, h, w, buf.outs()));
-        res.launches.push_back(baselines::launch_npp_scancol_wave<Tout>(
-            eng, buf.outs(), h, w));
-        tables(buf, res.tables);
+        launches.push_back(baselines::launch_npp_scanrow_wave<Tout, Tin>(
+            eng, ins, h, w, outs));
+        launches.push_back(
+            baselines::launch_npp_scancol_wave<Tout>(eng, outs, h, w));
         break;
     }
     case Algorithm::kScanTransposeScan: {
-        auto a = scratch(h * w), b = scratch(w * h), c = scratch(w * h),
-             d = scratch(h * w);
-        res.launches.push_back(launch_scanrow_wave<Tout, Tin>(
+        auto a = scratch(h * w), b = scratch(w * h), c = scratch(w * h);
+        launches.push_back(launch_scanrow_wave<Tout, Tin>(
             eng, ins, h, w, a.outs(), opt.warp_scan));
-        res.launches.push_back(baselines::launch_transpose_wave<Tout>(
+        launches.push_back(baselines::launch_transpose_wave<Tout>(
             eng, a.ins(), h, w, b.outs()));
-        res.launches.push_back(launch_scanrow_wave<Tout, Tout>(
+        launches.push_back(launch_scanrow_wave<Tout, Tout>(
             eng, b.ins(), w, h, c.outs(), opt.warp_scan));
-        res.launches.push_back(baselines::launch_transpose_wave<Tout>(
-            eng, c.ins(), w, h, d.outs()));
-        tables(d, res.tables);
+        launches.push_back(baselines::launch_transpose_wave<Tout>(
+            eng, c.ins(), w, h, outs));
         break;
     }
     case Algorithm::kNaiveScanScan: {
-        auto buf = scratch(h * w);
-        res.launches.push_back(baselines::launch_naive_rows_wave<Tout, Tin>(
-            eng, ins, h, w, buf.outs()));
-        res.launches.push_back(baselines::launch_naive_cols_wave<Tout>(
-            eng, buf.outs(), h, w));
-        tables(buf, res.tables);
+        launches.push_back(baselines::launch_naive_rows_wave<Tout, Tin>(
+            eng, ins, h, w, outs));
+        launches.push_back(
+            baselines::launch_naive_cols_wave<Tout>(eng, outs, h, w));
         break;
     }
     case Algorithm::kAuto:
         SATGPU_CHECK(false, "Algorithm::kAuto must be resolved by "
                             "Runtime::plan before execution");
     }
+    return launches;
+}
+
+/// Compute the inclusive SATs of K same-shaped images in one fused wave
+/// (launch_sat_wave) with zero-copy I/O: the kernels read each caller
+/// image in place through a read-only view, and the last pass writes
+/// straight into the returned tables, allocated uninitialized so their
+/// pages are first touched by the writing block workers.  Neither inputs
+/// nor tables are pooled; a wave holds K workspaces of intermediates
+/// concurrently, which is why service plans get their own pool partition.
+template <typename Tout, typename Tin>
+[[nodiscard]] SatWaveResult<Tout>
+compute_sat_wave(simt::Engine& eng,
+                 std::span<const Matrix<Tin>* const> images, Options opt = {})
+{
+    const std::size_t k = images.size();
+    SATGPU_EXPECTS(k > 0);
+    const std::int64_t h = images[0]->height();
+    const std::int64_t w = images[0]->width();
+    for (const Matrix<Tin>* img : images)
+        SATGPU_EXPECTS(img->height() == h && img->width() == w);
+
+    std::vector<simt::DeviceBuffer<Tin>> in_views;
+    std::vector<simt::DeviceBuffer<Tout>> out_views;
+    SatWaveResult<Tout> res;
+    in_views.reserve(k);
+    out_views.reserve(k);
+    res.tables.reserve(k);
+    for (const Matrix<Tin>* img : images) {
+        in_views.push_back(
+            simt::DeviceBuffer<Tin>::read_only_view(img->flat()));
+        res.tables.emplace_back(h, w, kUninitialized);
+        out_views.push_back(
+            simt::DeviceBuffer<Tout>::view(res.tables.back().flat()));
+    }
+    std::vector<const simt::DeviceBuffer<Tin>*> ins;
+    std::vector<simt::DeviceBuffer<Tout>*> outs;
+    for (std::size_t i = 0; i < k; ++i) {
+        ins.push_back(&in_views[i]);
+        outs.push_back(&out_views[i]);
+    }
+    res.launches = launch_sat_wave<Tout, Tin>(eng, ins, h, w, outs, opt);
     return res;
 }
 
 /// Compute the inclusive SAT of `image` on the simulated GPU -- a K = 1
-/// wave, which performs the exact buffer acquisitions and launches the
-/// historical single-image path did (grid.z = 1, identical counters).
-/// All device buffers come from Options::pool when one is set (and are
-/// returned to it before this function returns), so repeated calls at one
-/// shape allocate nothing after the first.
+/// wave, which performs the exact launches the historical single-image
+/// path did (grid.z = 1, identical counters).  Intermediate buffers come
+/// from Options::pool when one is set (and are returned to it before this
+/// function returns), so repeated calls at one shape allocate no pooled
+/// buffer after the first.
 template <typename Tout, typename Tin>
 [[nodiscard]] SatResult<Tout> compute_sat(simt::Engine& eng,
                                           const Matrix<Tin>& image,

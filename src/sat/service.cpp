@@ -682,8 +682,7 @@ struct StreamImplT final : StreamSession::Impl {
     [[nodiscard]] double sum(std::int64_t y0, std::int64_t x0,
                              std::int64_t y1, std::int64_t x1) const override
     {
-        return static_cast<double>(
-            rect_sum(win.window_table(), y0, x0, y1, x1));
+        return static_cast<double>(win.window_sum(y0, x0, y1, x1));
     }
     [[nodiscard]] std::uint64_t ring_bytes() const override
     {

@@ -1,9 +1,9 @@
 // Pooled device-buffer allocation (the simulated cudaMalloc cache).
 //
-// Every SAT invocation needs an input staging buffer plus one to four
-// full-image scratch/output buffers; allocating them per call is exactly
-// the churn a production service cannot afford (real CUDA allocators
-// synchronize the device).  BufferPool recycles DeviceBuffer<T> storage
+// SAT invocations read their input and write their result in place, but
+// most algorithms need one to three full-image intermediate buffers;
+// allocating them per call is exactly the churn a production service
+// cannot afford (real CUDA allocators synchronize the device).  BufferPool recycles DeviceBuffer<T> storage
 // across calls: acquire() hands out a Lease that returns the buffer to the
 // pool on destruction, and a reused buffer is re-cleared to T{} so results
 // are bit-identical to a freshly value-initialized DeviceBuffer.

@@ -5,6 +5,12 @@
 // what the timing model charges against device-memory bandwidth -- exactly
 // the coalescing consideration the paper optimizes for (Sec. I: "Efficiently
 // accessing global memory in a coalesced pattern is critical").
+//
+// A buffer either owns its elements or is a non-owning VIEW of caller
+// storage (DeviceBuffer::view / read_only_view): the SAT data path reads
+// each input image in place and writes its last pass straight into the
+// returned matrix.  Accounting is index-based (byte address = index *
+// sizeof(T)), so owned and viewed storage produce identical counters.
 #pragma once
 
 #include "core/check.hpp"
@@ -17,6 +23,7 @@
 #include <memory>
 #include <source_location>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace satgpu::simt {
@@ -27,15 +34,88 @@ public:
     DeviceBuffer() = default;
 
     explicit DeviceBuffer(std::int64_t count, T fill = T{})
-        : data_(static_cast<std::size_t>(count), fill)
+        : storage_(checked_count(count), fill), data_(storage_.data()),
+          size_(count)
     {
-        SATGPU_EXPECTS(count >= 0);
+    }
+
+    /// Non-owning view over caller storage (the zero-copy data path: a
+    /// kernel reads an image where it lives, or writes its last pass
+    /// straight into the result matrix).  The caller keeps `s` alive for
+    /// as long as the view or any copy of it is used.  Loads, stores and
+    /// the overlap detector behave exactly as on an owned buffer.
+    [[nodiscard]] static DeviceBuffer view(std::span<T> s)
+    {
+        DeviceBuffer b;
+        b.data_ = s.data();
+        b.size_ = static_cast<std::int64_t>(s.size());
+        b.view_ = true;
+        return b;
+    }
+
+    /// Read-only view: like view(), but every store, atomic and mutable
+    /// host() access aborts, so a kernel can never write the caller's
+    /// input through it.
+    [[nodiscard]] static DeviceBuffer read_only_view(std::span<const T> s)
+    {
+        DeviceBuffer b = view({const_cast<T*>(s.data()), s.size()});
+        b.read_only_ = true;
+        return b;
+    }
+
+    /// Copying a view aliases the same storage (and shares its overlap
+    /// detector); copying an owned buffer deep-copies the elements, and
+    /// the copy gets its own detector if the source had one.  The
+    /// defaulted copy would leave an owned copy's data pointer aimed at
+    /// the source's storage.
+    DeviceBuffer(const DeviceBuffer& o)
+        : storage_(o.storage_),
+          data_(o.view_ ? o.data_ : storage_.data()), size_(o.size_),
+          view_(o.view_), read_only_(o.read_only_),
+          overlap_(o.view_ ? o.overlap_ : nullptr)
+    {
+        if (o.overlap_ && !o.view_)
+            debug_detect_overlapping_writes();
+    }
+
+    /// A move transfers the storage (or the view) and leaves the source
+    /// empty: size() == 0, no storage, no detector.
+    DeviceBuffer(DeviceBuffer&& o) noexcept
+        : storage_(std::move(o.storage_)),
+          data_(std::exchange(o.data_, nullptr)),
+          size_(std::exchange(o.size_, 0)),
+          view_(std::exchange(o.view_, false)),
+          read_only_(std::exchange(o.read_only_, false)),
+          overlap_(std::move(o.overlap_))
+    {
+        o.storage_.clear();
+    }
+
+    DeviceBuffer& operator=(const DeviceBuffer& o)
+    {
+        if (this != &o)
+            *this = DeviceBuffer(o);
+        return *this;
+    }
+
+    DeviceBuffer& operator=(DeviceBuffer&& o) noexcept
+    {
+        if (this != &o) {
+            storage_ = std::move(o.storage_);
+            o.storage_.clear();
+            data_ = std::exchange(o.data_, nullptr);
+            size_ = std::exchange(o.size_, 0);
+            view_ = std::exchange(o.view_, false);
+            read_only_ = std::exchange(o.read_only_, false);
+            overlap_ = std::move(o.overlap_);
+        }
+        return *this;
     }
 
     [[nodiscard]] static DeviceBuffer from_matrix(const Matrix<T>& m)
     {
         DeviceBuffer b(m.size());
-        std::copy(m.flat().begin(), m.flat().end(), b.data_.begin());
+        std::copy(m.flat().begin(), m.flat().end(), b.data_);
         return b;
     }
 
@@ -43,19 +123,24 @@ public:
                                       std::int64_t width) const
     {
         SATGPU_EXPECTS(height * width == size());
-        Matrix<T> m(height, width);
-        std::copy(data_.begin(), data_.end(), m.flat().begin());
+        Matrix<T> m(height, width, kUninitialized);
+        std::copy(data_, data_ + size_, m.flat().begin());
         return m;
     }
 
-    [[nodiscard]] std::int64_t size() const noexcept
-    {
-        return static_cast<std::int64_t>(data_.size());
-    }
+    [[nodiscard]] std::int64_t size() const noexcept { return size_; }
 
-    /// Host-side view (the equivalent of cudaMemcpy'ing back).
-    [[nodiscard]] std::span<T> host() noexcept { return data_; }
-    [[nodiscard]] std::span<const T> host() const noexcept { return data_; }
+    /// Host-side view (the equivalent of cudaMemcpy'ing back).  The
+    /// mutable overload aborts on a read-only view.
+    [[nodiscard]] std::span<T> host()
+    {
+        check_writable();
+        return {data_, static_cast<std::size_t>(size_)};
+    }
+    [[nodiscard]] std::span<const T> host() const noexcept
+    {
+        return {data_, static_cast<std::size_t>(size_)};
+    }
 
     /// Debug aid for the parallel engine's disjoint-tile write discipline:
     /// once enabled, every `store`/`store_vec` records which block wrote
@@ -69,7 +154,7 @@ public:
         // (make_shared<T[]> copy-fills in libstdc++ 12, which atomics
         // forbid.)
         overlap_ = std::shared_ptr<std::atomic<std::uint64_t>[]>(
-            new std::atomic<std::uint64_t>[data_.size()]());
+            new std::atomic<std::uint64_t>[static_cast<std::size_t>(size_)]());
     }
 
     /// Warp-wide load: lane l reads element idx[l]; inactive lanes get T{}.
@@ -124,6 +209,7 @@ public:
                LaneMask active = kFullMask,
                std::source_location site = SATGPU_SITE)
     {
+        check_writable();
         if (current_counters() == nullptr) {
             // Uninstrumented fast path; see load().
             for (int l = 0; l < kWarpSize; ++l) {
@@ -177,7 +263,7 @@ public:
             if (active == kFullMask) {
                 SATGPU_CHECK(base >= 0 && base + kWarpSize <= size(),
                              "gmem load out of bounds");
-                const T* const p = data_.data() + base;
+                const T* const p = data_ + base;
                 for (int l = 0; l < kWarpSize; ++l)
                     r.set(l, p[l]);
                 return r;
@@ -202,11 +288,12 @@ public:
                    LaneMask active = kFullMask,
                    std::source_location site = SATGPU_SITE)
     {
+        check_writable();
         if (current_counters() == nullptr) {
             if (active == kFullMask && !overlap_) {
                 SATGPU_CHECK(base >= 0 && base + kWarpSize <= size(),
                              "gmem store out of bounds");
-                T* const p = data_.data() + base;
+                T* const p = data_ + base;
                 for (int l = 0; l < kWarpSize; ++l)
                     p[l] = val.get(l);
                 return;
@@ -235,6 +322,7 @@ public:
     LaneVec<T> atomic_add(const LaneVec<std::int64_t>& idx,
                           const LaneVec<T>& val, LaneMask active = kFullMask)
     {
+        check_writable();
         LaneVec<T> old{};
         for (int l = 0; l < kWarpSize; ++l) {
             if (!lane_active(active, l))
@@ -307,6 +395,7 @@ public:
     {
         static_assert(N >= 1 && N * sizeof(T) <= 16,
                       "vector accesses are at most 128-bit");
+        check_writable();
         ByteAddrs addrs{};
         for (int l = 0; l < kWarpSize; ++l) {
             if (!lane_active(active, l))
@@ -334,6 +423,17 @@ public:
     }
 
 private:
+    static std::size_t checked_count(std::int64_t count)
+    {
+        SATGPU_EXPECTS(count >= 0);
+        return static_cast<std::size_t>(count);
+    }
+
+    void check_writable() const
+    {
+        SATGPU_CHECK(!read_only_, "gmem write through a read-only view");
+    }
+
     /// Overlap-detector bookkeeping: tag each element with (launch epoch,
     /// writer block).  Stale epochs read as "untouched", so no per-launch
     /// reset pass is needed.  Packing: epoch in the high 40 bits, writer
@@ -357,7 +457,13 @@ private:
                      "launch stored to the same element");
     }
 
-    std::vector<T> data_;
+    /// Owned elements (empty for views); shares Matrix's allocator, so
+    /// large buffers are huge-page-eligible mappings.
+    std::vector<T, DefaultInitAllocator<T>> storage_;
+    T* data_ = nullptr;      ///< storage_.data(), or the viewed storage
+    std::int64_t size_ = 0;
+    bool view_ = false;
+    bool read_only_ = false;
     std::shared_ptr<std::atomic<std::uint64_t>[]> overlap_;
 };
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 using namespace satgpu;
 
@@ -72,6 +74,44 @@ TEST(Matrix, EmptyMatrix)
     EXPECT_EQ(m.size(), 0);
     const auto t = transpose(m);
     EXPECT_TRUE(t.empty());
+}
+
+TEST(Matrix, UninitializedConstructorShapesWithoutFilling)
+{
+    Matrix<int> m(3, 5, kUninitialized);
+    EXPECT_EQ(m.height(), 3);
+    EXPECT_EQ(m.width(), 5);
+    EXPECT_EQ(m.size(), 15);
+    for (std::int64_t i = 0; i < m.size(); ++i)
+        m.flat()[static_cast<std::size_t>(i)] = static_cast<int>(i);
+    EXPECT_EQ(m(2, 4), 14);
+}
+
+TEST(Matrix, LargeBlocksRoundTripThroughTheirOwnMapping)
+{
+    // Just past the allocator's large-block cut-off (32 MiB): storage comes
+    // from a dedicated 2 MiB-aligned mapping instead of malloc.  Value
+    // semantics must be unaffected: fill, copy, compare, move, release.
+    const std::int64_t h = 2048, w = 4096 + 8;
+    Matrix<std::uint32_t> big(h, w, kUninitialized);
+    ASSERT_GE(static_cast<std::size_t>(big.size()) * sizeof(std::uint32_t),
+              std::size_t{32} << 20);
+#if defined(__linux__)
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.flat().data()) %
+                  (std::uintptr_t{2} << 20),
+              0u);
+#endif
+    for (std::int64_t y = 0; y < h; ++y)
+        big(y, w - 1) = static_cast<std::uint32_t>(y);
+    big(0, 0) = 7;
+    const Matrix<std::uint32_t> copy = big;
+    EXPECT_NE(copy.flat().data(), big.flat().data());
+    EXPECT_EQ(copy(h - 1, w - 1), static_cast<std::uint32_t>(h - 1));
+    EXPECT_EQ(copy(0, 0), 7u);
+    const Matrix<std::uint32_t> filled(h, w, 3u);
+    EXPECT_EQ(filled(h - 1, w - 1), 3u);
+    const Matrix<std::uint32_t> moved = std::move(big);
+    EXPECT_EQ(moved(h - 1, w - 1), static_cast<std::uint32_t>(h - 1));
 }
 
 TEST(CeilDiv, SignedRoundsUp)

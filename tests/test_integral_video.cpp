@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
+#include <utility>
 #include <vector>
 
 namespace sat = satgpu::sat;
@@ -389,4 +391,52 @@ TEST(StreamSession, RequestTrafficAndStreamsShareOneService)
     const auto table = fut.get();
     EXPECT_EQ(table.dtype(), satgpu::Dtype::u32_);
     EXPECT_EQ(session->frames_pushed(), 1);
+}
+
+// window_sum answers from the resident window buffer; it must agree with
+// rect_sum over the materialized window_table() on random and edge
+// rectangles, once the ring has wrapped (frames leaving the window).
+TEST(SlidingWindow, WindowSumMatchesRectSumOfTableAfterWraparound)
+{
+    constexpr std::int64_t kH = 37, kW = 45, kWindow = 3;
+    simt::Engine eng({.record_history = false, .num_threads = 2});
+    sat::SlidingWindowSat<satgpu::u32, satgpu::u8> inc(eng, kWindow, kH, kW);
+    sat::Service svc;
+    auto session = svc.open_stream(
+        {.height = kH, .width = kW, .window = kWindow});
+    const auto frames = make_frames<satgpu::u8>(2 * kWindow + 1, kH, kW, 31);
+    std::mt19937_64 rng(7);
+    for (const auto& f : frames) {
+        inc.push(f);
+        session->push(sat::AnyMatrix(f));
+        const Matrix<satgpu::u32> table = inc.window_table();
+        const auto check = [&](std::int64_t y0, std::int64_t x0,
+                               std::int64_t y1, std::int64_t x1) {
+            const satgpu::u32 want = sat::rect_sum(table, y0, x0, y1, x1);
+            ASSERT_EQ(inc.window_sum(y0, x0, y1, x1), want)
+                << y0 << "," << x0 << " .. " << y1 << "," << x1;
+            ASSERT_EQ(session->window_sum(y0, x0, y1, x1),
+                      static_cast<double>(want));
+        };
+        check(0, 0, kH - 1, kW - 1); // whole window
+        check(0, 0, 0, 0);           // top-left pixel
+        check(kH - 1, kW - 1, kH - 1, kW - 1);
+        check(0, kW - 1, kH - 1, kW - 1); // last column
+        check(kH - 1, 0, kH - 1, kW - 1); // last row
+        check(5, 0, 9, 3);                // touching the left edge
+        for (int i = 0; i < 32; ++i) {
+            std::uniform_int_distribution<std::int64_t> ys(0, kH - 1),
+                xs(0, kW - 1);
+            auto y0 = ys(rng), y1 = ys(rng), x0 = xs(rng), x1 = xs(rng);
+            if (y0 > y1)
+                std::swap(y0, y1);
+            if (x0 > x1)
+                std::swap(x0, x1);
+            check(y0, x0, y1, x1);
+        }
+    }
+    EXPECT_GT(inc.frames_pushed(), 2 * kWindow);
+    // The span overload keeps rect_sum's rectangle validation.
+    EXPECT_DEATH((void)inc.window_sum(3, 0, 2, 4), "precondition");
+    EXPECT_DEATH((void)inc.window_sum(0, 0, kH, 4), "precondition");
 }

@@ -168,8 +168,9 @@ TEST(RuntimePlan, ResolvesShapeDtypeAndWorkspace)
     EXPECT_EQ(plan.height(), 64);
     EXPECT_EQ(plan.width(), 48);
     EXPECT_TRUE(plan.scores().empty()); // no ranking unless kAuto
-    // 1 input staging image (u8) + 4 scratch images (u32).
-    EXPECT_EQ(plan.workspace_bytes(), 64 * 48 * (1 + 4 * 4));
+    // 3 leased intermediates (u32); the input is read in place and the
+    // last transpose writes the returned table directly.
+    EXPECT_EQ(plan.workspace_bytes(), 64 * 48 * 3 * 4);
     EXPECT_FALSE(plan.launch_configs().empty());
 }
 
@@ -270,19 +271,21 @@ TEST(RuntimePooling, ReclearContributesNoCountersToNextLaunch)
 
 TEST(RuntimePooling, DistinctShapesAllocateDistinctBuffers)
 {
+    // ScanRowColumn leases one intermediate per image (the in-place
+    // baselines lease nothing, so they cannot show pool behaviour).
     sat::Runtime rt;
     const auto dt = satgpu::make_pair_of<satgpu::u8, satgpu::u32>();
     const auto small = rt.plan({.height = 32,
                                 .width = 32,
                                 .dtypes = dt,
-                                .algorithm = sat::Algorithm::kOpencvLike});
+                                .algorithm = sat::Algorithm::kScanRowColumn});
     (void)small.execute(sat::AnyMatrix::random(dt.in, 32, 32, 1));
     const auto before = rt.pool_stats();
 
     const auto big = rt.plan({.height = 64,
                               .width = 64,
                               .dtypes = dt,
-                              .algorithm = sat::Algorithm::kOpencvLike});
+                              .algorithm = sat::Algorithm::kScanRowColumn});
     (void)big.execute(sat::AnyMatrix::random(dt.in, 64, 64, 1));
     // The pool matches on exact (type, count): a bigger image cannot steal
     // the smaller image's buffers.

@@ -507,16 +507,23 @@ TEST(ServicePartitions, DistinctPlansHaveBoundedDisjointHighWater)
     opt.max_linger = std::chrono::microseconds(100'000);
     sat::Service svc(opt);
 
+    // BRLT-ScanRow leases one intermediate per image; kAuto may resolve
+    // these small shapes to an in-place baseline that leases nothing.
+    constexpr auto kAlgo = sat::Algorithm::kBrltScanRow;
+    const auto request = [](std::int64_t h, std::int64_t w,
+                            std::uint64_t seed) {
+        return sat::Service::Request{
+            .image = sat::AnyMatrix::random(Dtype::u8_, h, w, seed),
+            .out = Dtype::u32_,
+            .algorithm = kAlgo};
+    };
     const auto submit_burst = [&](std::int64_t h, std::int64_t w) {
         // Warm-up then burst, so the burst coalesces into one max-wave
         // wave and the partition high-water reflects fused execution.
-        (void)svc.submit(sat::AnyMatrix::random(Dtype::u8_, h, w, 0),
-                         Dtype::u32_)
-            .get();
+        (void)svc.submit(request(h, w, 0)).get();
         std::vector<std::future<sat::AnyMatrix>> futs;
         for (std::uint64_t s = 1; s <= 4; ++s)
-            futs.push_back(svc.submit(
-                sat::AnyMatrix::random(Dtype::u8_, h, w, s), Dtype::u32_));
+            futs.push_back(svc.submit(request(h, w, s)));
         for (auto& f : futs)
             (void)f.get();
     };
@@ -525,8 +532,10 @@ TEST(ServicePartitions, DistinctPlansHaveBoundedDisjointHighWater)
 
     sat::Runtime direct;
     for (const auto& [h, w] : {std::pair{64L, 48L}, std::pair{48L, 64L}}) {
-        const sat::PlanRequest req{
-            .height = h, .width = w, .dtypes = {Dtype::u8_, Dtype::u32_}};
+        const sat::PlanRequest req{.height = h,
+                                   .width = w,
+                                   .dtypes = {Dtype::u8_, Dtype::u32_},
+                                   .algorithm = kAlgo};
         const auto key = sat::plan_key(req);
         const auto high_water = svc.plan_high_water_bytes(key);
         EXPECT_GT(high_water, 0U) << h << "x" << w;

@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
 
 namespace simt = satgpu::simt;
 using simt::kWarpSize;
@@ -512,6 +516,159 @@ TEST(DeviceBuffer, InactiveLanesAreUntouched)
     EXPECT_EQ(buf.host()[1], 0);
     EXPECT_EQ(c.gmem_st_sectors, 1u);
     EXPECT_EQ(c.gmem_bytes_st, 4u);
+}
+
+// ------------------------------------------------------- DeviceBuffer views --
+
+TEST(DeviceBufferView, AliasesCallerStorage)
+{
+    satgpu::Matrix<int> m(2, 40, 0);
+    auto v = simt::DeviceBuffer<int>::view(m.flat());
+    EXPECT_EQ(v.size(), m.size());
+    EXPECT_EQ(v.host().data(), m.flat().data());
+    v.store_row(3, LaneVec<int>::broadcast(5));
+    EXPECT_EQ(m(0, 2), 0);
+    EXPECT_EQ(m(0, 3), 5);
+    EXPECT_EQ(m(0, 34), 5);
+    EXPECT_EQ(m(0, 35), 0);
+}
+
+TEST(DeviceBufferView, CopyOfViewAliasesSameStorage)
+{
+    std::vector<int> storage(64, 0);
+    const auto v = simt::DeviceBuffer<int>::view(storage);
+    auto copy = v;
+    EXPECT_EQ(copy.host().data(), storage.data());
+    copy.store(LaneVec<std::int64_t>::broadcast(7), LaneVec<int>::broadcast(9),
+               0x1u);
+    EXPECT_EQ(storage[7], 9);
+    EXPECT_EQ(v.host()[7], 9);
+
+    simt::DeviceBuffer<int> assigned(4, -1);
+    assigned = v;
+    EXPECT_EQ(assigned.host().data(), storage.data());
+    EXPECT_EQ(assigned.size(), 64);
+}
+
+TEST(DeviceBufferView, CopyOfOwnedBufferDeepCopies)
+{
+    simt::DeviceBuffer<int> owned(64, 3);
+    auto copy = owned;
+    EXPECT_NE(copy.host().data(), owned.host().data());
+    copy.store_row(0, LaneVec<int>::broadcast(8));
+    EXPECT_EQ(copy.host()[0], 8);
+    EXPECT_EQ(owned.host()[0], 3);
+
+    simt::DeviceBuffer<int> assigned;
+    assigned = owned;
+    EXPECT_NE(assigned.host().data(), owned.host().data());
+    EXPECT_TRUE(std::ranges::equal(assigned.host(), owned.host()));
+}
+
+TEST(DeviceBufferView, MoveEmptiesTheSource)
+{
+    simt::DeviceBuffer<int> owned(64, 3);
+    const int* const storage = owned.host().data();
+    simt::DeviceBuffer<int> moved(std::move(owned));
+    EXPECT_EQ(moved.host().data(), storage); // no reallocation
+    EXPECT_EQ(moved.size(), 64);
+    EXPECT_EQ(owned.size(), 0); // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(owned.host().empty());
+
+    std::vector<int> backing(32, 1);
+    auto v = simt::DeviceBuffer<int>::read_only_view(backing);
+    simt::DeviceBuffer<int> target;
+    target = std::move(v);
+    EXPECT_EQ(std::as_const(target).host().data(), backing.data());
+    EXPECT_DEATH((void)target.host(), "read-only view"); // still read-only
+    EXPECT_EQ(v.size(), 0); // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(std::as_const(v).host().empty());
+}
+
+TEST(DeviceBufferView, ReadOnlyViewLoadsButNeverWrites)
+{
+    const std::vector<int> backing(64, 4);
+    auto v = simt::DeviceBuffer<int>::read_only_view(backing);
+    EXPECT_EQ(v.load_row(32).get(31), 4);
+    EXPECT_DEATH(v.store_row(0, LaneVec<int>::broadcast(1)),
+                 "read-only view");
+    EXPECT_DEATH(v.store(LaneVec<std::int64_t>::broadcast(0),
+                         LaneVec<int>::broadcast(1), 0x1u),
+                 "read-only view");
+    EXPECT_DEATH((void)v.atomic_add(LaneVec<std::int64_t>::broadcast(0),
+                                    LaneVec<int>::broadcast(1), 0x1u),
+                 "read-only view");
+    EXPECT_DEATH((void)v.host(), "read-only view");
+    EXPECT_EQ(backing[0], 4);
+}
+
+TEST(DeviceBufferView, OutOfRangeLoadRowOnViewDies)
+{
+    // A view of the first 40 elements of a larger allocation: the bounds
+    // are the view's, not the backing storage's, on both load paths.
+    std::vector<int> backing(128, 0);
+    const auto v = simt::DeviceBuffer<int>::view(
+        std::span<int>(backing).first(40));
+    (void)v.load_row(8); // [8, 40) is in range
+    EXPECT_DEATH((void)v.load_row(9), "gmem load out of bounds");
+    EXPECT_DEATH((void)v.load_row(-1), "gmem load out of bounds");
+    EXPECT_DEATH(
+        {
+            simt::PerfCounters c;
+            simt::CounterScope scope(c);
+            (void)v.load_row(9);
+        },
+        "gmem load out of bounds");
+}
+
+TEST(DeviceBufferView, CountersMatchOwnedBuffer)
+{
+    // Accounting is index-based, so a view and an owned buffer holding
+    // the same elements record identical counters.
+    simt::DeviceBuffer<float> owned(1024, 2.0f);
+    std::vector<float> backing(1024, 2.0f);
+    auto v = simt::DeviceBuffer<float>::view(backing);
+    const auto run = [](simt::DeviceBuffer<float>& b) {
+        simt::PerfCounters c;
+        simt::CounterScope scope(c);
+        (void)b.load_row(5);
+        b.store(LaneVec<std::int64_t>::lane_index() * std::int64_t{3},
+                LaneVec<float>::broadcast(1.0f));
+        return c;
+    };
+    const auto a = run(owned), b = run(v);
+    EXPECT_EQ(a.gmem_ld_req, b.gmem_ld_req);
+    EXPECT_EQ(a.gmem_ld_sectors, b.gmem_ld_sectors);
+    EXPECT_EQ(a.gmem_st_sectors, b.gmem_st_sectors);
+    EXPECT_EQ(a.gmem_bytes_st, b.gmem_bytes_st);
+    EXPECT_TRUE(std::ranges::equal(owned.host(), std::as_const(v).host()));
+}
+
+TEST(DeviceBufferView, OverlapDetectorWorksOnViews)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    std::vector<int> backing(4, 0);
+    auto v = simt::DeviceBuffer<int>::view(backing);
+    v.debug_detect_overlapping_writes();
+    simt::Engine eng({.record_history = false, .num_threads = 2});
+    EXPECT_DEATH(
+        eng.launch({"overlap", 8, 0}, {{2, 1, 1}, {kWarpSize, 1, 1}},
+                   [&](simt::WarpCtx&) -> simt::KernelTask {
+                       v.store(LaneVec<std::int64_t>::broadcast(0),
+                               LaneVec<int>::broadcast(7), 0x1u);
+                       co_return;
+                   }),
+        "overlapping global-memory writes");
+    // A copy of the view shares the detector; disjoint blocks are clean.
+    auto copy = v;
+    eng.launch({"disjoint", 8, 0}, {{4, 1, 1}, {kWarpSize, 1, 1}},
+               [&](simt::WarpCtx& w) -> simt::KernelTask {
+                   copy.store(LaneVec<std::int64_t>::broadcast(
+                                  w.block_idx().x),
+                              LaneVec<int>::broadcast(1), 0x1u);
+                   co_return;
+               });
+    EXPECT_EQ(backing, (std::vector<int>{1, 1, 1, 1}));
 }
 
 // ----------------------------------------------------------------- Engine --
