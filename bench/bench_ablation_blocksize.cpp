@@ -24,7 +24,7 @@ int main()
 
     Matrix<f32> img(kCal, kCal);
     fill_random(img, 4);
-    const auto in = simt::DeviceBuffer<f32>::from_matrix(img);
+    const auto in = simt::DeviceBuffer<f32>::read_only_view(img.flat());
 
     for (const int wc : {4, 8, 16, 32}) {
         simt::Engine eng({.record_history = false});

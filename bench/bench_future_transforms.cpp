@@ -91,7 +91,7 @@ int main()
     const auto brlt = transforms::haar_dwt_2d(e1, img);
 
     simt::Engine e2;
-    auto in = simt::DeviceBuffer<i32>::from_matrix(img);
+    const auto in = simt::DeviceBuffer<i32>::read_only_view(img.flat());
     simt::DeviceBuffer<i32> mid(kN * kN);
     const auto shfl_pass = e2.launch(
         {"haar_rows_shfl", 24, 0},

@@ -115,12 +115,12 @@ template <typename Tout, typename Tin>
 compute_sat_smem_tile(simt::Engine& eng, const Matrix<Tin>& image)
 {
     const std::int64_t h = image.height(), w = image.width();
-    auto in = simt::DeviceBuffer<Tin>::from_matrix(image);
-    simt::DeviceBuffer<Tout> mid(w * h), out(h * w);
-    sat::SatResult<Tout> res;
+    const auto in = simt::DeviceBuffer<Tin>::read_only_view(image.flat());
+    simt::DeviceBuffer<Tout> mid(w * h);
+    sat::SatResult<Tout> res{Matrix<Tout>(h, w), {}};
+    auto out = simt::DeviceBuffer<Tout>::view(res.table.flat());
     res.launches.push_back(launch_smem_tile_pass<Tout>(eng, in, h, w, mid));
     res.launches.push_back(launch_smem_tile_pass<Tout>(eng, mid, w, h, out));
-    res.table = out.to_matrix(h, w);
     return res;
 }
 

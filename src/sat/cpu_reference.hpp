@@ -10,6 +10,7 @@
 
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace satgpu::sat {
@@ -113,10 +114,37 @@ template <typename T>
     return out;
 }
 
+namespace detail {
+
+/// The Fig. 1 corner formula a + d - b - c, shared by rect_sum, the query
+/// kernels, the device box filter and the serial query oracle so every
+/// path agrees bit for bit.  Integer types are combined in the unsigned
+/// type of the same width, so the sum wraps mod 2^N in any association
+/// (signed tables never overflow, which would be UB); float types are
+/// combined in double and rounded once.
+template <typename T>
+[[nodiscard]] constexpr T window_sum4(T a, T b, T c, T d) noexcept
+{
+    if constexpr (std::is_integral_v<T>) {
+        using U = std::make_unsigned_t<T>;
+        return static_cast<T>(static_cast<U>(
+            static_cast<U>(static_cast<U>(a) + static_cast<U>(d)) -
+            static_cast<U>(static_cast<U>(b) + static_cast<U>(c))));
+    } else {
+        return static_cast<T>(static_cast<double>(a) +
+                              static_cast<double>(d) -
+                              static_cast<double>(b) -
+                              static_cast<double>(c));
+    }
+}
+
+} // namespace detail
+
 /// Fig. 1: sum of the image over the inclusive rectangle
 /// [x0, x1] x [y0, y1], from an INCLUSIVE height x width SAT stored
-/// row-major in `sat`, as a + d - b - c.  The span form lets callers
-/// answer from resident table storage without materializing a Matrix.
+/// row-major in `sat`, as a + d - b - c (detail::window_sum4).  The span
+/// form lets callers answer from resident table storage without
+/// materializing a Matrix.
 template <typename T>
 [[nodiscard]] T rect_sum(std::span<const T> sat, std::int64_t height,
                          std::int64_t width, std::int64_t y0, std::int64_t x0,
@@ -133,7 +161,7 @@ template <typename T>
     const T a = (y0 > 0 && x0 > 0) ? at(y0 - 1, x0 - 1) : T{};
     const T b = (y0 > 0) ? at(y0 - 1, x1) : T{};
     const T c = (x0 > 0) ? at(y1, x0 - 1) : T{};
-    return static_cast<T>(static_cast<T>(a + d) - static_cast<T>(b + c));
+    return detail::window_sum4(a, b, c, d);
 }
 
 template <typename T>

@@ -3,17 +3,18 @@
 // of real-time tracking and HOG-style descriptors the paper's introduction
 // motivates.
 //
-// The bin masks are built on the simulated GPU (a trivial binning kernel),
-// then each mask goes through a SAT.  Two builders:
+// The bin masks are built on the simulated GPU (a trivial binning kernel
+// reading the image in place), written straight into u8 planes that the
+// SAT then reads in place.  Two builders:
 //
 //  * integral_histogram: the historical engine-level path, one bin at a
-//    time (mask launch + compute_sat per bin).
+//    time (mask launch + compute_sat per bin, one reused plane).
 //  * integral_histogram_batched: the 16-64 bin scaling path.  Bin-major
 //    batching end to end -- ONE fused grid.z = bins mask launch writes
-//    every bin plane, then all planes ride one Plan::execute_wave, with
-//    every lease (image staging, masks, the wave's workspaces) drawn from
-//    a single BufferPool partition so the whole build's device footprint
-//    is attributable and bounded by IntegralHistogram::workspace_bytes.
+//    every bin plane, then all planes ride one Plan::execute_wave, whose
+//    leases are drawn from a single BufferPool partition so the whole
+//    build's pooled footprint is attributable and bounded by
+//    IntegralHistogram::workspace_bytes.
 //
 // Binning semantics: bins need NOT divide 256.  bin_width = 256 / bins
 // (floor, >= 1), and the TOP bin absorbs the ragged remainder: a pixel
@@ -23,10 +24,11 @@
 // quotient reached `bins`; masks now always partition the image.)
 #pragma once
 
+#include "sat/query.hpp"
 #include "sat/runtime.hpp"
-#include "sat/sat.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 namespace satgpu::sat {
@@ -75,32 +77,30 @@ struct IntegralHistogram {
 
 namespace detail {
 
-/// Binning kernel: mask[i] = (bin_of(img[i]) == bin) ? 1 : 0, where
-/// bin_of(v) = min(v / bin_width, bins - 1) -- the top bin absorbs the
-/// ragged remainder when bins does not divide 256, so the masks always
-/// partition the image.
-inline simt::KernelTask bin_mask_warp(simt::WarpCtx& w,
-                                      const simt::DeviceBuffer<u8>& img,
-                                      std::int64_t n, int bin,
-                                      std::int64_t bin_width, int bins,
-                                      simt::DeviceBuffer<u8>& mask)
+/// Binning launch: plane z of `masks` becomes the mask of bin
+/// first_bin + z (grid.z = masks.size(); bin_mask_body in sat/query.hpp,
+/// which writes every element of every plane).  256-thread blocks, one
+/// 32-element group per warp -> each block covers 256 elements.
+inline simt::LaunchStats
+launch_histogram_masks(simt::Engine& eng, const simt::DeviceBuffer<u8>& img,
+                       int first_bin, std::int64_t bin_width, int bins,
+                       std::span<simt::DeviceBuffer<u8>* const> masks)
 {
-    const std::int64_t base =
-        (w.block_idx().x * w.warps_per_block() + w.warp_id()) *
-        simt::kWarpSize;
-    const auto lane = simt::LaneVec<std::int64_t>::lane_index();
-    const simt::LaneMask m = simt::lanes_in_range(base, n);
-    if (m == 0)
-        co_return;
-    const auto v = img.load(lane + base, m);
-    simt::LaneVec<u8> out{};
-    for (int l = 0; l < simt::kWarpSize; ++l)
-        if (simt::lane_active(m, l)) {
-            const auto b = std::min<std::int64_t>(v.get(l) / bin_width,
-                                                  bins - 1);
-            out.set(l, b == static_cast<std::int64_t>(bin) ? u8{1} : u8{0});
-        }
-    mask.store(lane + base, out, m);
+    const std::int64_t n = img.size();
+    std::vector<BinMaskJob> jobs;
+    jobs.reserve(masks.size());
+    for (simt::DeviceBuffer<u8>* m : masks)
+        jobs.push_back({&img, m, n});
+    return eng.launch(
+        {"bin_mask", 12, 0},
+        {{ceil_div(n, 256), 1, static_cast<std::int64_t>(jobs.size())},
+         {256, 1, 1}},
+        [&](simt::WarpCtx& w) {
+            const auto z = static_cast<std::size_t>(w.block_idx().z);
+            return bin_mask_warp_task(w, jobs[z],
+                                      first_bin + static_cast<int>(z),
+                                      bin_width, bins);
+        });
 }
 
 } // namespace detail
@@ -115,21 +115,16 @@ integral_histogram(simt::Engine& eng, const Matrix<u8>& image, int bins,
     SATGPU_EXPECTS(bins > 0 && bins <= 256);
     IntegralHistogram ih;
     ih.bin_width = 256 / bins;
-    const std::int64_t n = image.size();
-    auto img = simt::DeviceBuffer<u8>::from_matrix(image);
+    const auto img = simt::DeviceBuffer<u8>::read_only_view(image.flat());
+    // One plane, rewritten in full by each bin's mask launch.
+    Matrix<u8> mask(image.height(), image.width(), kUninitialized);
+    auto mask_buf = simt::DeviceBuffer<u8>::view(mask.flat());
+    simt::DeviceBuffer<u8>* const planes[] = {&mask_buf};
 
     for (int b = 0; b < bins; ++b) {
-        simt::DeviceBuffer<u8> mask(n);
-        // 256-thread blocks, one 32-element group per warp -> each block
-        // covers 256 elements.
-        ih.launches.push_back(eng.launch(
-            {"bin_mask", 12, 0}, {{ceil_div(n, 256), 1, 1}, {256, 1, 1}},
-            [&](simt::WarpCtx& w) {
-                return detail::bin_mask_warp(w, img, n, b, ih.bin_width,
-                                             bins, mask);
-            }));
-        auto res = compute_sat<u32>(
-            eng, mask.to_matrix(image.height(), image.width()), opt);
+        ih.launches.push_back(detail::launch_histogram_masks(
+            eng, img, b, ih.bin_width, bins, planes));
+        auto res = compute_sat<u32>(eng, mask, opt);
         ih.tables.push_back(std::move(res.table));
         for (auto& l : res.launches)
             ih.launches.push_back(std::move(l));
@@ -162,34 +157,24 @@ integral_histogram_batched(Runtime& rt, const Matrix<u8>& image, int bins,
                          .pool_partition = pool_partition});
 
     std::vector<AnyMatrix> masks;
-    masks.reserve(static_cast<std::size_t>(bins));
     {
-        // Phase 1: stage the image once, lease one mask plane per bin from
-        // the SAME partition, and bin every plane in ONE fused launch
-        // (block (x, 0, z) bins plane z).  Leases release before the wave,
-        // so the partition's high-water stays within workspace_bytes.
-        auto img = rt.pool().acquire<u8>(n, pool_partition);
-        std::copy(image.flat().begin(), image.flat().end(),
-                  img->host().begin());
-        std::vector<simt::BufferPool::Lease<u8>> mask_leases;
-        std::vector<simt::DeviceBuffer<u8>*> mask_ptrs;
-        mask_leases.reserve(static_cast<std::size_t>(bins));
-        mask_ptrs.reserve(static_cast<std::size_t>(bins));
+        // Phase 1: bin every plane in ONE fused launch (block (x, 0, z)
+        // bins plane z), reading the image in place and writing straight
+        // into the planes the wave reads in place.
+        const auto img =
+            simt::DeviceBuffer<u8>::read_only_view(image.flat());
+        std::vector<simt::DeviceBuffer<u8>> views;
+        std::vector<simt::DeviceBuffer<u8>*> planes;
+        masks.reserve(static_cast<std::size_t>(bins));
+        views.reserve(static_cast<std::size_t>(bins));
         for (int b = 0; b < bins; ++b) {
-            mask_leases.push_back(rt.pool().acquire<u8>(n, pool_partition));
-            mask_ptrs.push_back(&*mask_leases.back());
+            masks.emplace_back(Matrix<u8>(h, w, kUninitialized));
+            views.push_back(
+                simt::DeviceBuffer<u8>::view(masks.back().as<u8>().flat()));
+            planes.push_back(&views.back());
         }
-        ih.launches.push_back(rt.engine().launch(
-            {"bin_mask", 12, 0},
-            {{ceil_div(n, 256), 1, bins}, {256, 1, 1}},
-            [&](simt::WarpCtx& wc) {
-                const auto z = static_cast<std::size_t>(wc.block_idx().z);
-                return detail::bin_mask_warp(
-                    wc, *img, n, static_cast<int>(z), ih.bin_width, bins,
-                    *mask_ptrs[z]);
-            }));
-        for (auto* m : mask_ptrs)
-            masks.emplace_back(m->to_matrix(h, w));
+        ih.launches.push_back(detail::launch_histogram_masks(
+            rt.engine(), img, 0, ih.bin_width, bins, planes));
     }
 
     std::vector<const AnyMatrix*> ptrs;
@@ -203,14 +188,10 @@ integral_histogram_batched(Runtime& rt, const Matrix<u8>& image, int bins,
     for (auto& l : wave.launches)
         ih.launches.push_back(std::move(l));
 
-    // Peak pooled footprint: the mask phase holds the staged image plus
-    // one u8 plane per bin; the wave holds `bins` full workspaces.  The
-    // partition's high-water is the larger of the two.
-    const auto ub = static_cast<std::uint64_t>(bins);
-    const auto un = static_cast<std::uint64_t>(n);
-    ih.workspace_bytes = std::max(
-        (ub + 1) * un,
-        ub * static_cast<std::uint64_t>(plan.workspace_bytes()));
+    // Peak pooled footprint: the wave's `bins` full workspaces (the mask
+    // phase leases nothing).
+    ih.workspace_bytes = static_cast<std::uint64_t>(bins) *
+                         static_cast<std::uint64_t>(plan.workspace_bytes());
     return ih;
 }
 

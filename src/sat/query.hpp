@@ -44,28 +44,11 @@ namespace detail {
 // ---- Shared emit formulas -------------------------------------------------
 //
 // The fused kernel, the materialized gather kernel and the serial oracle
-// all funnel through these two helpers, which is what makes the three
-// paths bit-identical: integer window sums wrap mod 2^N identically in
-// any association, and the float post-processing (means, thresholds) is
-// done in double from the SAME wrapped sum everywhere.
-
-/// a + d - b - c.  Integer types wrap (exact mod 2^N in any association);
-/// float types are combined in double and rounded once.
-template <typename T>
-[[nodiscard]] constexpr T window_sum4(T a, T b, T c, T d) noexcept
-{
-    if constexpr (std::is_integral_v<T>) {
-        using U = std::make_unsigned_t<T>;
-        return static_cast<T>(static_cast<U>(
-            static_cast<U>(static_cast<U>(a) + static_cast<U>(d)) -
-            static_cast<U>(static_cast<U>(b) + static_cast<U>(c))));
-    } else {
-        return static_cast<T>(static_cast<double>(a) +
-                              static_cast<double>(d) -
-                              static_cast<double>(b) -
-                              static_cast<double>(c));
-    }
-}
+// all funnel through window_sum4 (cpu_reference.hpp) and query_emit, which
+// is what makes the three paths bit-identical: integer window sums wrap
+// mod 2^N identically in any association, and the float post-processing
+// (means, thresholds) is done in double from the SAME wrapped sum
+// everywhere.
 
 /// Output element type of a query spec at SAT dtype Tsat.
 template <typename Tsat, typename Spec>
@@ -732,13 +715,17 @@ template <typename Spec, typename Tsat, typename Tin, typename Tout>
     });
 }
 
-// ---- Bin-mask kernel (RegionHistogram) ------------------------------------
+// ---- Bin-mask kernel (histograms) -----------------------------------------
 
-/// mask[i] = (in[i] / bin_width == bin), dual-lowered so the fused hist
-/// path stays native-certifiable.  Barrier free.
+/// mask[i] = (min(in[i] / bin_width, bins - 1) == bin): the top bin absorbs
+/// the ragged remainder when bins does not divide 256, so the masks always
+/// partition the image.  The one body behind both the query histogram's
+/// dual-lowered launcher below and integral_histogram's launcher (for
+/// queries the clamp never fires: validate_query requires 256 % bins == 0).
+/// Barrier free; writes every element of [0, n).
 template <typename W>
 void bin_mask_body(W& w, const simt::DeviceBuffer<u8>& in, std::int64_t n,
-                   int bin, std::int64_t bin_width,
+                   int bin, std::int64_t bin_width, int bins,
                    simt::DeviceBuffer<u8>& mask)
 {
     const std::int64_t base =
@@ -751,7 +738,10 @@ void bin_mask_body(W& w, const simt::DeviceBuffer<u8>& in, std::int64_t n,
     LaneVec<u8> out{};
     for (int l = 0; l < kWarpSize; ++l)
         if (simt::lane_active(m, l))
-            out.set(l, v.get(l) / bin_width == bin ? u8{1} : u8{0});
+            out.set(l, std::min<std::int64_t>(v.get(l) / bin_width,
+                                              bins - 1) == bin
+                           ? u8{1}
+                           : u8{0});
     mask.store(lane + base, out, m);
 }
 
@@ -762,11 +752,11 @@ struct BinMaskJob {
     std::int64_t n = 0;
 };
 
-template <typename W = simt::WarpCtx>
-simt::KernelTask bin_mask_warp_task(simt::WarpCtx& w, const BinMaskJob& job,
-                                    int bin, std::int64_t bin_width)
+inline simt::KernelTask bin_mask_warp_task(simt::WarpCtx& w,
+                                           const BinMaskJob& job, int bin,
+                                           std::int64_t bin_width, int bins)
 {
-    bin_mask_body(w, *job.in, job.n, bin, bin_width, *job.mask);
+    bin_mask_body(w, *job.in, job.n, bin, bin_width, bins, *job.mask);
     co_return;
 }
 
@@ -774,7 +764,7 @@ simt::KernelTask bin_mask_warp_task(simt::WarpCtx& w, const BinMaskJob& job,
 /// tile in group).
 [[nodiscard]] inline simt::LaunchStats
 launch_bin_mask(simt::Engine& eng, std::span<const BinMaskJob> jobs, int bin,
-                std::int64_t bin_width, bool native)
+                std::int64_t bin_width, int bins, bool native)
 {
     std::int64_t max_n = 1;
     for (const auto& j : jobs)
@@ -791,12 +781,12 @@ launch_bin_mask(simt::Engine& eng, std::span<const BinMaskJob> jobs, int bin,
                     jobs[static_cast<std::size_t>(blk.block_idx().y)];
                 for (int wid = 0; wid < blk.warps_per_block(); ++wid)
                     bin_mask_body(blk.warp(wid), *j.in, j.n, bin, bin_width,
-                                  *j.mask);
+                                  bins, *j.mask);
             });
     return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
         return bin_mask_warp_task(
             w, jobs[static_cast<std::size_t>(w.block_idx().y)], bin,
-            bin_width);
+            bin_width, bins);
     });
 }
 
@@ -822,23 +812,35 @@ template <typename Spec>
     return fb;
 }
 
+/// Rows of a query's output: one h-row plane per histogram bin, else h.
+template <typename Spec>
+[[nodiscard]] constexpr std::int64_t query_out_rows(const Spec& spec,
+                                                    std::int64_t h) noexcept
+{
+    if constexpr (std::is_same_v<Spec, RegionHistogramSpec>)
+        return std::int64_t{spec.bins} * h;
+    else
+        return h;
+}
+
 } // namespace detail
 
 // ---- Fused pipeline -------------------------------------------------------
 
-/// Execute a query with fused tiled consumption: for each macro-tile,
-/// stage the halo-extended input into a pooled buffer, build its local SAT
-/// in place (single-pass kernel, or the plan algorithm's multi-kernel path
-/// when the extended tile is too wide -- see docs/fused_queries.md's
-/// fallback matrix), and immediately run the consumer against it.  The
-/// global SAT never exists; pooled high-water is O(carry_fanout * extended
-/// tile area).  Bit-identical to compute_query_materialized and to
-/// query_serial for integer SAT dtypes.
+/// Execute a query with fused tiled consumption into `out` (query_out_rows
+/// x W, every element written): for each macro-tile, stage the
+/// halo-extended input into a pooled buffer, build its local SAT in place
+/// (single-pass kernel, or the plan algorithm's multi-kernel passes when
+/// the extended tile is too wide -- see docs/fused_queries.md's fallback
+/// matrix), and immediately run the consumer against it.  The global SAT
+/// never exists; pooled high-water is O(carry_fanout * extended tile
+/// area).  Returns the launches.
 template <typename Tsat, typename Spec, typename Tin>
-[[nodiscard]] QueryResult<detail::query_out_t<Tsat, Spec>>
-compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
-                    const Spec& spec, const TileGeometry& geo,
-                    Options opt = {})
+std::vector<simt::LaunchStats>
+launch_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
+                   const Spec& spec, const TileGeometry& geo,
+                   simt::DeviceBuffer<detail::query_out_t<Tsat, Spec>>& out,
+                   const Options& opt)
 {
     using Tout = detail::query_out_t<Tsat, Spec>;
     const std::int64_t h = image.height(), w = image.width();
@@ -857,19 +859,16 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
     const QueryHalo halo = detail::halo_of(spec);
 
     constexpr bool kHist = std::is_same_v<Spec, RegionHistogramSpec>;
-    std::int64_t out_h = h;
     if constexpr (kHist) {
         static_assert(std::is_same_v<Tout, u32>);
         SATGPU_CHECK((std::is_same_v<Tin, u8> && std::is_same_v<Tsat, u32>),
                      "region histogram queries require the 8u -> 32u dtype "
                      "pair");
         SATGPU_EXPECTS(spec.bins > 0 && 256 % spec.bins == 0);
-        out_h = std::int64_t{spec.bins} * h;
     }
+    SATGPU_EXPECTS(out.size() == detail::query_out_rows(spec, h) * w);
 
-    QueryResult<Tout> res;
-    simt::DeviceBuffer<Tout> out(out_h * w);
-
+    std::vector<simt::LaunchStats> launches;
     struct Staged {
         simt::BufferPool::Lease<Tin> in;
         simt::BufferPool::Lease<Tsat> sat;
@@ -886,22 +885,22 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
         const simt::PhaseScope phase(eng, "query.tile");
         std::vector<detail::TileSatJob<Tsat, Tsrc>> jobs;
         for (Staged& s : group) {
+            const simt::DeviceBuffer<Tsrc>* const src = &*(s.*member);
+            simt::DeviceBuffer<Tsat>* const sat = &*s.sat;
             if (detail::tile_sat_fits<Tsat>(s.ext.w)) {
-                jobs.push_back({&*(s.*member), &*s.sat, s.ext.h, s.ext.w});
+                jobs.push_back({src, sat, s.ext.h, s.ext.w});
                 continue;
             }
             // Fallback: the extended tile is wider than one block covers;
-            // run the plan algorithm's multi-kernel local SAT instead.
-            const auto sub = (s.*member)->to_matrix(s.ext.h, s.ext.w);
-            auto local =
-                compute_sat<Tsat>(eng, sub, detail::fallback_options(opt));
-            std::copy(local.table.flat().begin(), local.table.flat().end(),
-                      s.sat->host().begin());
-            for (auto& l : local.launches)
-                res.launches.push_back(std::move(l));
+            // run the plan algorithm's multi-kernel passes on the staged
+            // tile, straight into its local-SAT lease.
+            for (auto& l : launch_sat_wave<Tsat, Tsrc>(
+                     eng, {&src, 1}, s.ext.h, s.ext.w, {&sat, 1},
+                     detail::fallback_options(opt)))
+                launches.push_back(std::move(l));
         }
         if (!jobs.empty())
-            res.launches.push_back(detail::launch_query_tile_sat<Tsat, Tsrc>(
+            launches.push_back(detail::launch_query_tile_sat<Tsat, Tsrc>(
                 eng, jobs, opt.warp_scan, native));
     };
     const auto run_consumers = [&](std::int64_t out_row0) {
@@ -911,7 +910,7 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
         for (Staged& s : group)
             jobs.push_back({&*s.sat, &*s.in, &out, h, w, s.rect, s.ext,
                             out_row0});
-        res.launches.push_back(detail::launch_query_consumer<Spec>(
+        launches.push_back(detail::launch_query_consumer<Spec>(
             eng, std::span<const detail::ConsumerJob<Tsat, Tin, Tout>>(jobs),
             spec, native));
     };
@@ -929,8 +928,8 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
                     for (Staged& s : group)
                         mjobs.push_back(
                             {&*s.in, &*s.mask, s.ext.h * s.ext.w});
-                    res.launches.push_back(detail::launch_bin_mask(
-                        eng, mjobs, b, bin_width, native));
+                    launches.push_back(detail::launch_bin_mask(
+                        eng, mjobs, b, bin_width, spec.bins, native));
                 }
                 run_tile_sats.template operator()<u8>(&Staged::mask);
                 run_consumers(std::int64_t{b} * h);
@@ -965,87 +964,103 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
                 flush();
         }
     flush();
+    return launches;
+}
 
-    res.out = out.to_matrix(out_h, w);
+/// launch_query_fused into a returned matrix, allocated uninitialized
+/// (the consumers write every element).  Bit-identical to
+/// compute_query_materialized and to query_serial for integer SAT dtypes.
+template <typename Tsat, typename Spec, typename Tin>
+[[nodiscard]] QueryResult<detail::query_out_t<Tsat, Spec>>
+compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
+                    const Spec& spec, const TileGeometry& geo,
+                    Options opt = {})
+{
+    using Tout = detail::query_out_t<Tsat, Spec>;
+    QueryResult<Tout> res;
+    res.out = Matrix<Tout>(detail::query_out_rows(spec, image.height()),
+                           image.width(), kUninitialized);
+    auto out = simt::DeviceBuffer<Tout>::view(res.out.flat());
+    res.launches = launch_query_fused<Tsat>(eng, image, spec, geo, out, opt);
     return res;
 }
 
 // ---- Materialize-then-consume pipeline ------------------------------------
 
-/// Execute a query the classic way: build the full H x W SAT with the
-/// plan's algorithm, then run the Fig. 1 gather consumer over it.  The
-/// baseline QueryMode, and the fused path's correctness twin (bit-identical
-/// for integer SAT dtypes).
+/// Execute a query the classic way into `out` (query_out_rows x W, every
+/// element written): build the full H x W SAT with the plan's algorithm,
+/// then run the Fig. 1 gather consumer over it where it lives.  The image
+/// is read in place through a read-only view; a histogram writes each
+/// bin's mask into one reused plane that compute_sat reads in place.
+/// Returns the launches.
+template <typename Tsat, typename Spec, typename Tin>
+std::vector<simt::LaunchStats>
+launch_query_materialized(
+    simt::Engine& eng, const Matrix<Tin>& image, const Spec& spec,
+    simt::DeviceBuffer<detail::query_out_t<Tsat, Spec>>& out,
+    const Options& opt)
+{
+    const std::int64_t h = image.height(), w = image.width();
+    SATGPU_EXPECTS(h > 0 && w > 0);
+    SATGPU_EXPECTS(out.size() == detail::query_out_rows(spec, h) * w);
+    const simt::CheckScope check_scope(eng, opt.check);
+    const simt::ProfileEnableScope profile_scope(eng, opt.profile);
+    const bool native = opt.backend == Backend::kNative;
+    const auto img = simt::DeviceBuffer<Tin>::read_only_view(image.flat());
+    std::vector<simt::LaunchStats> launches;
+
+    const auto build_and_consume = [&](const auto& src,
+                                       std::int64_t out_row0) {
+        auto sat = compute_sat<Tsat>(eng, src, opt);
+        launches.insert(launches.end(),
+                        std::make_move_iterator(sat.launches.begin()),
+                        std::make_move_iterator(sat.launches.end()));
+        const auto table =
+            simt::DeviceBuffer<Tsat>::read_only_view(sat.table.flat());
+        const simt::PhaseScope phase(eng, "query.consume");
+        launches.push_back(detail::launch_query_gather<Spec>(
+            eng, table, &img, h, w, out_row0, spec, out, native));
+    };
+
+    constexpr bool kHist = std::is_same_v<Spec, RegionHistogramSpec>;
+    if constexpr (kHist && !(std::is_same_v<Tin, u8> &&
+                             std::is_same_v<Tsat, u32>)) {
+        SATGPU_CHECK(false, "region histogram queries require the 8u -> "
+                            "32u dtype pair");
+    } else if constexpr (kHist) {
+        SATGPU_EXPECTS(spec.bins > 0 && 256 % spec.bins == 0);
+        const std::int64_t bin_width = 256 / spec.bins;
+        Matrix<u8> mask(h, w, kUninitialized);
+        auto mask_buf = simt::DeviceBuffer<u8>::view(mask.flat());
+        for (int b = 0; b < spec.bins; ++b) {
+            const detail::BinMaskJob mjob{&img, &mask_buf, h * w};
+            launches.push_back(detail::launch_bin_mask(
+                eng, std::span<const detail::BinMaskJob>(&mjob, 1), b,
+                bin_width, spec.bins, native));
+            build_and_consume(mask, std::int64_t{b} * h);
+        }
+    } else {
+        build_and_consume(image, 0);
+    }
+    return launches;
+}
+
+/// launch_query_materialized into a returned matrix, allocated
+/// uninitialized (the gather consumer writes every element).  The
+/// baseline QueryMode, and the fused path's correctness twin
+/// (bit-identical for integer SAT dtypes).
 template <typename Tsat, typename Spec, typename Tin>
 [[nodiscard]] QueryResult<detail::query_out_t<Tsat, Spec>>
 compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
                            const Spec& spec, Options opt = {})
 {
     using Tout = detail::query_out_t<Tsat, Spec>;
-    const std::int64_t h = image.height(), w = image.width();
-    SATGPU_EXPECTS(h > 0 && w > 0);
-    const simt::CheckScope check_scope(eng, opt.check);
-    const simt::ProfileEnableScope profile_scope(eng, opt.profile);
-    const bool native = opt.backend == Backend::kNative;
-
-    constexpr bool kHist = std::is_same_v<Spec, RegionHistogramSpec>;
     QueryResult<Tout> res;
-
-    const auto consume = [&](const Matrix<Tsat>& table,
-                             const simt::DeviceBuffer<Tin>* input,
-                             std::int64_t out_row0,
-                             simt::DeviceBuffer<Tout>& out) {
-        auto lease = simt::acquire_or_new<Tsat>(opt.pool, h * w,
-                                                opt.pool_partition);
-        std::copy(table.flat().begin(), table.flat().end(),
-                  lease->host().begin());
-        const simt::PhaseScope phase(eng, "query.consume");
-        res.launches.push_back(detail::launch_query_gather<Spec>(
-            eng, *lease, input, h, w, out_row0, spec, out, native));
-    };
-
-    if constexpr (kHist && !(std::is_same_v<Tin, u8> &&
-                             std::is_same_v<Tsat, u32>)) {
-        SATGPU_CHECK(false, "region histogram queries require the 8u -> "
-                            "32u dtype pair");
-    } else if constexpr (kHist) {
-        static_assert(std::is_same_v<Tout, u32>);
-        SATGPU_EXPECTS(spec.bins > 0 && 256 % spec.bins == 0);
-        const std::int64_t bin_width = 256 / spec.bins;
-        simt::DeviceBuffer<Tout> out(std::int64_t{spec.bins} * h * w);
-        auto img = simt::acquire_or_new<Tin>(opt.pool, h * w,
-                                             opt.pool_partition);
-        std::copy(image.flat().begin(), image.flat().end(),
-                  img->host().begin());
-        auto mask = simt::acquire_or_new<u8>(opt.pool, h * w,
-                                             opt.pool_partition);
-        for (int b = 0; b < spec.bins; ++b) {
-            const detail::BinMaskJob mjob{&*img, &*mask, h * w};
-            res.launches.push_back(detail::launch_bin_mask(
-                eng, std::span<const detail::BinMaskJob>(&mjob, 1), b,
-                bin_width, native));
-            auto sat = compute_sat<Tsat>(eng, mask->to_matrix(h, w), opt);
-            for (auto& l : sat.launches)
-                res.launches.push_back(std::move(l));
-            consume(sat.table, nullptr, std::int64_t{b} * h, out);
-        }
-        res.out = out.to_matrix(std::int64_t{spec.bins} * h, w);
-    } else {
-        simt::DeviceBuffer<Tout> out(h * w);
-        auto sat = compute_sat<Tsat>(eng, image, opt);
-        res.launches = std::move(sat.launches);
-        simt::BufferPool::Lease<Tin> img;
-        const simt::DeviceBuffer<Tin>* input = nullptr;
-        if constexpr (std::is_same_v<Spec, AdaptiveThresholdSpec>) {
-            img = simt::acquire_or_new<Tin>(opt.pool, h * w,
-                                            opt.pool_partition);
-            std::copy(image.flat().begin(), image.flat().end(),
-                      img->host().begin());
-            input = &*img;
-        }
-        consume(sat.table, input, 0, out);
-        res.out = out.to_matrix(h, w);
-    }
+    res.out = Matrix<Tout>(detail::query_out_rows(spec, image.height()),
+                           image.width(), kUninitialized);
+    auto out = simt::DeviceBuffer<Tout>::view(res.out.flat());
+    res.launches =
+        launch_query_materialized<Tsat>(eng, image, spec, out, opt);
     return res;
 }
 

@@ -645,14 +645,14 @@ Plan Runtime::plan(const PlanRequest& req_in)
         return h * w * scratch_images(p.resolved_) * out_bytes;
     };
     if (query_enabled(req.query)) {
-        // Query workspace high-water (outputs are plain DeviceBuffers, not
-        // pooled, so they are excluded by the workspace_bytes contract).
-        const bool hist =
-            std::holds_alternative<RegionHistogramSpec>(req.query);
-        const std::int64_t mask_bytes = hist ? 1 : 0;
+        // Query workspace high-water (outputs are written straight into
+        // the returned matrix, never pooled).
         if (query_fused) {
             // carry_fanout staging groups, each holding one halo-extended
             // tile's source, local SAT, and (histogram) bin mask.
+            const std::int64_t mask_bytes =
+                std::holds_alternative<RegionHistogramSpec>(req.query) ? 1
+                                                                       : 0;
             const QueryHalo halo = query_halo(req.query);
             const std::int64_t eh = std::min(
                 req.height, req.tile.tile_h + halo.top + halo.bottom);
@@ -668,23 +668,18 @@ Plan Runtime::plan(const PlanRequest& req_in)
             if (ceil_div(ew, std::int64_t{32}) > warps)
                 p.workspace_bytes_ += per_image_bytes(eh, ew);
         } else {
-            // Materialize-then-consume: the full SAT build's scratch plus
-            // the table itself (and the histogram's per-bin mask plane),
-            // all pooled for the duration of the consumer pass.
-            p.workspace_bytes_ =
-                per_image_bytes(req.height, req.width) +
-                req.height * req.width *
-                    (out_bytes + in_bytes + mask_bytes);
+            // Materialize-then-consume: only the full SAT build's scratch;
+            // the consumer gathers from the returned table and the image
+            // in place.
+            p.workspace_bytes_ = per_image_bytes(req.height, req.width);
         }
         return p;
     }
     if (grid && grid->count() > 1) {
         // Pool high-water bound: the free lists are keyed by exact element
         // count, so each DISTINCT ragged tile shape (at most four) keeps
-        // its own workspace class alive, and the carry pass additionally
-        // holds carry_fanout (tile + two edge vector) buffers per shape.
-        const std::int64_t fanout =
-            std::max(1, req.tile.carry_fanout);
+        // its own workspace class alive.  The carry pass leases nothing:
+        // it updates the returned table in place.
         std::vector<std::pair<std::int64_t, std::int64_t>> shapes;
         for (std::int64_t ti = 0; ti < grid->rows(); ++ti)
             for (std::int64_t tj = 0; tj < grid->cols(); ++tj) {
@@ -695,9 +690,7 @@ Plan Runtime::plan(const PlanRequest& req_in)
             }
         p.workspace_bytes_ = 0;
         for (const auto& [h, w] : shapes)
-            p.workspace_bytes_ +=
-                per_image_bytes(h, w) +
-                fanout * (h * w + h + w) * out_bytes;
+            p.workspace_bytes_ += per_image_bytes(h, w);
     } else {
         p.workspace_bytes_ = per_image_bytes(req.height, req.width);
     }

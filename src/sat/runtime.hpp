@@ -298,10 +298,11 @@ public:
     /// scratch_images() intermediates (proportional to the image; the
     /// input and the returned table are never leased).
     /// Tiled: an upper bound on the pool's high-water mark -- one
-    /// per-tile workspace per distinct ragged tile shape plus
-    /// carry_fanout carry buffers -- which is O(tile area) and
+    /// per-tile workspace per distinct ragged tile shape (the carry pass
+    /// updates the table in place) -- which is O(tile area) and
     /// independent of the image size (asserted against pool stats by
-    /// tests).
+    /// tests).  Queries: the fused path's staged tiles, or the
+    /// materialized path's SAT scratch; outputs are never leased.
     [[nodiscard]] std::int64_t workspace_bytes() const noexcept
     {
         return workspace_bytes_;

@@ -48,9 +48,9 @@ namespace satgpu::sat {
 /// Macro-tile geometry.  Disabled (both sides 0) means untiled execution;
 /// enabled geometries must have both sides positive multiples of 32
 /// (validated by TileGrid).  carry_fanout is an execution policy, not a
-/// correctness knob: how many tiles share one carry-combine launch, which
-/// bounds the carry phase's pooled footprint at carry_fanout tile buffers
-/// while giving the block scheduler cross-tile work.
+/// correctness knob: how many tiles share one carry-combine launch (giving
+/// the block scheduler cross-tile work), and how many halo-extended tiles
+/// a fused query stages at once.
 struct TileGeometry {
     std::int64_t tile_h = 0;
     std::int64_t tile_w = 0;
@@ -105,16 +105,19 @@ private:
     std::int64_t rows_, cols_;
 };
 
-/// One tile's carry-combine operands: the tile's local SAT (updated in
-/// place), its two carry-prefix vectors and the scalar corner term.
+/// One tile's carry-combine operands: the th x tw rectangle of the global
+/// table holding the tile's local SAT (updated in place), its two
+/// carry-prefix vectors and the scalar corner term.
 template <typename T>
 struct TileCarryArgs {
-    simt::DeviceBuffer<T>* tile = nullptr;            ///< th * tw, in place
+    simt::DeviceBuffer<T>* table = nullptr;           ///< global table
     const simt::DeviceBuffer<T>* row_carry = nullptr; ///< th entries
     const simt::DeviceBuffer<T>* col_carry = nullptr; ///< tw entries
     T corner{};
     std::int64_t th = 0;
     std::int64_t tw = 0;
+    std::int64_t origin = 0; ///< table index of the tile's top-left element
+    std::int64_t pitch = 0;  ///< table row pitch in elements
 };
 
 /// Carry-combine warp program: one warp per block; block.x selects a
@@ -141,19 +144,20 @@ simt::KernelTask tile_carry_warp(simt::WarpCtx& w, const TileCarryArgs<T>& a)
         const auto cc = a.col_carry->load(lane + x0, cols);
         for (int j = 0; j < rows_n; ++j) {
             const auto rj = simt::shfl(rc, j);
-            const auto idx = lane + ((row0 + j) * a.tw + x0);
-            auto v = a.tile->load(idx, cols);
+            const auto idx = lane + (a.origin + (row0 + j) * a.pitch + x0);
+            auto v = a.table->load(idx, cols);
             v = simt::vadd_where(cols, v, cc);
             v = simt::vadd_where(cols, v, rj);
-            a.tile->store(idx, v, cols);
+            a.table->store(idx, v, cols);
         }
     }
 }
 
 /// Launch the carry combine for a group of tiles (grid.y = tile in group,
 /// grid.x = 32-row bands of the tallest tile; shorter tiles' excess bands
-/// exit immediately).  Blocks write disjoint rows of per-tile buffers, so
-/// the launch respects the engine's disjoint-write discipline.
+/// exit immediately).  Blocks write disjoint row segments of disjoint tile
+/// rectangles, so the launch respects the engine's disjoint-write
+/// discipline.
 template <typename T>
 [[nodiscard]] simt::LaunchStats
 launch_tile_carry_combine(simt::Engine& eng,
@@ -183,10 +187,11 @@ predict_tile_carry(std::int64_t height, std::int64_t width,
 
 /// Compute the inclusive SAT of an arbitrarily large image with macro-tile
 /// execution.  `opt.algorithm` runs per tile (kAuto must already be
-/// resolved, as for compute_sat); every device buffer is leased from
-/// Options::pool, so the pooled high-water mark is O(carry_fanout * tile
-/// area) regardless of image size.  The result is bit-identical to
-/// compute_sat for every geometry and scheduler thread count.
+/// resolved, as for compute_sat); its intermediates are leased from
+/// Options::pool, so the pooled high-water mark is O(tile area) regardless
+/// of image size, and the carry combine updates the returned table in
+/// place.  The result is bit-identical to compute_sat for every geometry
+/// and scheduler thread count.
 template <typename Tout, typename Tin>
 [[nodiscard]] SatResult<Tout> compute_sat_tiled(simt::Engine& eng,
                                                 const Matrix<Tin>& image,
@@ -273,33 +278,24 @@ template <typename Tout, typename Tin>
         }
     }
 
-    { // ---- Phase 3: carry combine, carry_fanout tiles per launch.
+    { // ---- Phase 3: carry combine in place, carry_fanout tiles per launch.
         const simt::PhaseScope phase(eng, "tile.carry");
-        const int fanout = std::max(1, geo.carry_fanout);
-
-        struct Staged {
-            simt::BufferPool::Lease<Tout> tile, rc, cc;
-            TileGrid::Rect rect;
-        };
-        std::vector<Staged> group;
+        const auto fanout =
+            static_cast<std::size_t>(std::max(1, geo.carry_fanout));
+        auto table = simt::DeviceBuffer<Tout>::view(res.table.flat());
+        // Read-only views of each grouped tile's two carry vectors.
+        std::vector<simt::DeviceBuffer<Tout>> carries;
         std::vector<TileCarryArgs<Tout>> args;
-        group.reserve(static_cast<std::size_t>(fanout));
-        args.reserve(static_cast<std::size_t>(fanout));
+        carries.reserve(2 * fanout);
+        args.reserve(fanout);
 
         const auto flush = [&]() {
             if (args.empty())
                 return;
             res.launches.push_back(
                 launch_tile_carry_combine<Tout>(eng, args));
-            for (const Staged& s : group) {
-                const auto host = s.tile->host();
-                for (std::int64_t y = 0; y < s.rect.h; ++y)
-                    std::copy_n(host.data() + y * s.rect.w, s.rect.w,
-                                res.table.row(s.rect.y0 + y).data() +
-                                    s.rect.x0);
-            }
             args.clear();
-            group.clear(); // leases return to the pool here
+            carries.clear();
         };
 
         for (std::int64_t ti = 0; ti < grid.rows(); ++ti)
@@ -308,27 +304,16 @@ template <typename Tout, typename Tin>
                     continue; // all three carry terms are zero
                 const auto r = grid.rect(ti, tj);
                 const auto id = static_cast<std::size_t>(grid.index(ti, tj));
-
-                Staged s{simt::acquire_or_new<Tout>(opt.pool, r.h * r.w,
-                                                    opt.pool_partition),
-                         simt::acquire_or_new<Tout>(opt.pool, r.h,
-                                                    opt.pool_partition),
-                         simt::acquire_or_new<Tout>(opt.pool, r.w,
-                                                    opt.pool_partition), r};
-                {
-                    const auto th = s.tile->host();
-                    for (std::int64_t y = 0; y < r.h; ++y)
-                        std::copy_n(res.table.row(r.y0 + y).data() + r.x0,
-                                    r.w, th.data() + y * r.w);
-                    std::ranges::copy(row_carry[id], s.rc->host().begin());
-                    std::ranges::copy(col_carry[id], s.cc->host().begin());
-                }
-                args.push_back({&*s.tile, &*s.rc, &*s.cc,
+                carries.push_back(
+                    simt::DeviceBuffer<Tout>::read_only_view(row_carry[id]));
+                carries.push_back(
+                    simt::DeviceBuffer<Tout>::read_only_view(col_carry[id]));
+                args.push_back({&table, &carries[carries.size() - 2],
+                                &carries.back(),
                                 ti > 0 && tj > 0 ? corner_sat(ti - 1, tj - 1)
                                                  : Tout{},
-                                r.h, r.w});
-                group.push_back(std::move(s));
-                if (static_cast<int>(group.size()) == fanout)
+                                r.h, r.w, r.y0 * w + r.x0, w});
+                if (args.size() == fanout)
                     flush();
             }
         flush();

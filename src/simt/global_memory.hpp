@@ -112,13 +112,6 @@ public:
         return *this;
     }
 
-    [[nodiscard]] static DeviceBuffer from_matrix(const Matrix<T>& m)
-    {
-        DeviceBuffer b(m.size());
-        std::copy(m.flat().begin(), m.flat().end(), b.data_);
-        return b;
-    }
-
     [[nodiscard]] Matrix<T> to_matrix(std::int64_t height,
                                       std::int64_t width) const
     {

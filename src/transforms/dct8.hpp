@@ -114,9 +114,10 @@ template <typename T>
     const std::int64_t h = image.height(), w = image.width();
     SATGPU_CHECK(h % 64 == 0 && w % 64 == 0,
                  "dct8x8_2d requires multiples of 64");
-    auto in = simt::DeviceBuffer<T>::from_matrix(image);
-    simt::DeviceBuffer<T> mid(w * h), out(h * w);
-    DctResult<T> res;
+    const auto in = simt::DeviceBuffer<T>::read_only_view(image.flat());
+    simt::DeviceBuffer<T> mid(w * h);
+    DctResult<T> res{Matrix<T>(h, w), {}};
+    auto out = simt::DeviceBuffer<T>::view(res.coeffs.flat());
 
     const int wc = sat::warps_per_block<T>();
     const simt::KernelInfo info{"dct8_rows_brlt", sat::regs_per_thread<T>() + 32,
@@ -133,7 +134,6 @@ template <typename T>
     };
     res.launches.push_back(pass(in, h, w, mid));
     res.launches.push_back(pass(mid, w, h, out));
-    res.coeffs = out.to_matrix(h, w);
     return res;
 }
 

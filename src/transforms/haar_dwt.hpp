@@ -110,14 +110,14 @@ template <typename T>
     const std::int64_t h = image.height(), w = image.width();
     SATGPU_CHECK(h % 64 == 0 && w % 64 == 0,
                  "haar_dwt_2d requires multiples of 64");
-    auto in = simt::DeviceBuffer<T>::from_matrix(image);
-    simt::DeviceBuffer<T> mid(w * h), out(h * w);
-    DwtResult<T> res;
+    const auto in = simt::DeviceBuffer<T>::read_only_view(image.flat());
+    simt::DeviceBuffer<T> mid(w * h);
+    DwtResult<T> res{Matrix<T>(h, w), {}};
+    auto out = simt::DeviceBuffer<T>::view(res.coeffs.flat());
     res.launches.push_back(
         launch_haar_rows_pass<T>(eng, in, h, w, mid, padded_smem));
     res.launches.push_back(
         launch_haar_rows_pass<T>(eng, mid, w, h, out, padded_smem));
-    res.coeffs = out.to_matrix(h, w);
     return res;
 }
 

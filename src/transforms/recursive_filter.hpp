@@ -100,9 +100,10 @@ template <typename T>
 {
     static_assert(std::is_floating_point_v<T>);
     const std::int64_t h = image.height(), w = image.width();
-    auto in = simt::DeviceBuffer<T>::from_matrix(image);
-    simt::DeviceBuffer<T> mid(h * w), out(h * w);
-    FilterResult<T> res;
+    const auto in = simt::DeviceBuffer<T>::read_only_view(image.flat());
+    simt::DeviceBuffer<T> mid(h * w);
+    FilterResult<T> res{Matrix<T>(h, w), {}};
+    auto out = simt::DeviceBuffer<T>::view(res.filtered.flat());
 
     const std::int64_t row_wc = 8; // 256-thread blocks
     res.launches.push_back(eng.launch(
@@ -119,7 +120,6 @@ template <typename T>
         [&](simt::WarpCtx& wc) {
             return detail::iir_cols_warp<T>(wc, mid, h, w, feedback, out);
         }));
-    res.filtered = out.to_matrix(h, w);
     return res;
 }
 

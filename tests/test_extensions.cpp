@@ -423,6 +423,27 @@ TEST(BoxFilterDevice, NonPositiveRadiusIsADefinedCopy)
     }
 }
 
+TEST(BoxFilterDevice, WrappedIntegerTableGivesExactMeans)
+{
+    // Every pixel is 2^28, so the u32 prefixes wrap mod 2^32 once they
+    // cover 16 pixels, yet every 3x3 window sum (at most 9 * 2^28) fits in
+    // u32 and the wrapping corner formula recovers it exactly.  Combining
+    // the corners in double used to turn 13 of the 32 means negative
+    // (e.g. -4.47e8 where 2.68e8 is expected).
+    constexpr satgpu::u32 kPix = 1u << 28;
+    Matrix<satgpu::u32> img(4, 8);
+    for (std::int64_t y = 0; y < 4; ++y)
+        for (std::int64_t x = 0; x < 8; ++x)
+            img(y, x) = kPix;
+    const auto table = sat::sat_serial<satgpu::u32>(img);
+    simt::Engine eng;
+    const auto out = sat::box_filter_device(eng, table, 1);
+    for (std::int64_t y = 0; y < 4; ++y)
+        for (std::int64_t x = 0; x < 8; ++x)
+            ASSERT_EQ(out(y, x), static_cast<satgpu::f32>(kPix))
+                << y << "," << x;
+}
+
 // ---------------------------------------------------------- segmented scan --
 
 #include "scan/segmented_scan.hpp"

@@ -324,9 +324,10 @@ TEST(IntegralHistogramProperties, BatchedPlanMatchesSeedPathAcrossBinSweep)
 
 TEST(IntegralHistogramProperties, BatchedPoolHighWaterWithinWorkspaceBytes)
 {
-    // All leases (image staging, bin masks, the wave's workspaces) come
-    // from one partition; the partition's measured high-water must stay
-    // within the build's declared workspace_bytes bound.
+    // All leases (the wave's workspaces; the image and the bin masks are
+    // read and written in place) come from one partition; the partition's
+    // measured high-water must stay within the build's declared
+    // workspace_bytes bound.
     sat::Runtime rt;
     const std::int64_t h = 40, w = 50;
     Matrix<satgpu::u8> img(h, w);

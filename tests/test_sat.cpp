@@ -108,6 +108,22 @@ TEST(CpuReference, RectSumMatchesDirectSummation)
     EXPECT_EQ(sat::rect_sum(s, 0, 7, 19, 7), direct(0, 7, 19, 7));
 }
 
+TEST(CpuReference, RectSumOfSignedTableNeverOverflows)
+{
+    // Every prefix of this i32 image fits in i32, but a + d does not
+    // (6e8 + 1.8e9): the corner formula must combine in the unsigned type
+    // (window_sum4) instead of overflowing a signed int, which is UB.
+    Matrix<int> img(2, 2);
+    img(0, 0) = 600000000;
+    img(0, 1) = 600000000;
+    img(1, 0) = 600000000;
+    img(1, 1) = 100;
+    const auto t = sat::sat_serial<int>(img);
+    EXPECT_EQ(t(1, 1), 1800000100);
+    EXPECT_EQ(sat::rect_sum(t, 1, 1, 1, 1), 100);
+    EXPECT_EQ(sat::rect_sum(t, 0, 1, 1, 1), 600000100);
+}
+
 // ----------------------------------------- all GPU algorithms, all shapes --
 
 class SatAlgorithms
@@ -343,7 +359,7 @@ TEST(Brlt, TransposesASingleTile)
 {
     Matrix<int> m(32, 32);
     satgpu::fill_pattern(m);
-    auto in = simt::DeviceBuffer<int>::from_matrix(m);
+    const auto in = simt::DeviceBuffer<int>::read_only_view(m.flat());
     simt::DeviceBuffer<int> out(32 * 32);
     simt::Engine eng;
     eng.launch({"brlt_only", 56, sat::brlt_smem_bytes<int>()},
@@ -356,7 +372,7 @@ TEST(Brlt, PaddedStagingHasNoBankConflicts)
 {
     Matrix<int> m(32, 32);
     satgpu::fill_pattern(m);
-    auto in = simt::DeviceBuffer<int>::from_matrix(m);
+    const auto in = simt::DeviceBuffer<int>::read_only_view(m.flat());
     simt::DeviceBuffer<int> out(32 * 32);
     simt::Engine eng;
     auto stats =
@@ -376,7 +392,7 @@ TEST(Brlt, UnpaddedStagingSerializesColumnLoads)
 {
     Matrix<int> m(32, 32);
     satgpu::fill_pattern(m);
-    auto in = simt::DeviceBuffer<int>::from_matrix(m);
+    const auto in = simt::DeviceBuffer<int>::read_only_view(m.flat());
     simt::DeviceBuffer<int> out(32 * 32);
     simt::Engine eng;
     auto stats = eng.launch(

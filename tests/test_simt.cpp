@@ -485,12 +485,23 @@ TEST(SharedMemory, ConflictCountersAccumulate)
 
 TEST(DeviceBuffer, RoundTripsMatrices)
 {
+    // A read-only view sees the caller's matrix, and stores through a
+    // mutable view land in the caller's matrix; to_matrix snapshots it.
     satgpu::Matrix<int> m(3, 5);
     for (std::int64_t y = 0; y < 3; ++y)
         for (std::int64_t x = 0; x < 5; ++x)
             m(y, x) = static_cast<int>(10 * y + x);
-    auto buf = simt::DeviceBuffer<int>::from_matrix(m);
-    EXPECT_EQ(buf.to_matrix(3, 5), m);
+    const auto in = simt::DeviceBuffer<int>::read_only_view(m.flat());
+    EXPECT_EQ(in.to_matrix(3, 5), m);
+
+    satgpu::Matrix<int> dst(3, 5);
+    auto out = simt::DeviceBuffer<int>::view(dst.flat());
+    const auto lane = simt::LaneVec<std::int64_t>::lane_index();
+    for (std::int64_t base = 0; base < m.size(); base += simt::kWarpSize) {
+        const auto mask = simt::lanes_in_range(base, m.size());
+        out.store(lane + base, in.load(lane + base, mask), mask);
+    }
+    EXPECT_EQ(dst, m);
 }
 
 TEST(DeviceBuffer, CoalescedLoadCountsSectors)
