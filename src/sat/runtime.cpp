@@ -3,6 +3,7 @@
 #include "core/random_fill.hpp"
 #include "model/cost_model.hpp"
 #include "model/timing.hpp"
+#include "sat/integral_video.hpp"
 #include "sat/query.hpp"
 #include "simt/hazard_checker.hpp"
 
@@ -393,6 +394,17 @@ Plan Runtime::plan_query(const PlanRequest& req)
     return plan(req);
 }
 
+Plan Runtime::plan_stream(const PlanRequest& req)
+{
+    Plan p = plan(req);
+    if (p.backend_ == Backend::kNative &&
+        !certify(p.resolved_, req, CertComponent::kStream)) {
+        p.backend_ = Backend::kSim;
+        p.certified_ = false;
+    }
+    return p;
+}
+
 AnyMatrix Runtime::query_reference(const AnyMatrix& image, Dtype out,
                                    const QuerySpec& query) const
 {
@@ -407,7 +419,11 @@ AnyMatrix Runtime::query_reference(const AnyMatrix& image, Dtype out,
 
 namespace {
 
-/// The default certification probe (docs/backends.md).  A configuration
+/// The ragged shape every default probe runs at.
+constexpr std::int64_t kProbeH = 97;  // 3*32 + 1
+constexpr std::int64_t kProbeW = 130; // 4*32 + 2
+
+/// The SAT component's default probe (docs/backends.md).  A configuration
 /// earns its certificate by passing, at a small RAGGED probe shape (the
 /// off-by-one edges exercise every predication path a bigger image hits):
 ///   1. a hazard-checked simulator run reporting ZERO hazards,
@@ -416,10 +432,8 @@ namespace {
 /// The verdict is shape independent because the phase structure the
 /// checker certifies is: work inside a phase is per-warp predicated, and
 /// barriers are unconditional.
-bool default_certification_probe(Algorithm algo, const PlanRequest& req)
+bool sat_certification_probe(Algorithm algo, const PlanRequest& req)
 {
-    constexpr std::int64_t kProbeH = 97; // 3*32 + 1
-    constexpr std::int64_t kProbeW = 130; // 4*32 + 2
     const KernelEntry* entry = find_kernel(req.dtypes);
     if (entry == nullptr)
         return false;
@@ -495,15 +509,90 @@ bool default_certification_probe(Algorithm algo, const PlanRequest& req)
     return true;
 }
 
+/// The stream component's default probe: a ragged 97x130 window of T = 2
+/// over 3 pushes (the third retires a frame, so window_update runs), in
+/// both update modes.  The simulator run -- frame SATs and the
+/// temporal_add / window_update passes alike -- must report zero hazards
+/// and match window_sat_serial after every push, and a native twin must
+/// reproduce every window bit for bit.  Tiled sessions run the probe
+/// through the same 64x64 probe tiles as the SAT component.
+template <typename Tin, typename Tout>
+bool stream_certification_probe(Algorithm algo, const PlanRequest& req)
+{
+    constexpr std::int64_t kWindow = 2;
+    constexpr std::int64_t kPushes = 3;
+    std::vector<Matrix<Tin>> frames;
+    for (std::int64_t t = 0; t < kPushes; ++t) {
+        Matrix<Tin> f(kProbeH, kProbeW);
+        fill_random(f, /*seed=*/1729 + static_cast<std::uint64_t>(t));
+        frames.push_back(std::move(f));
+    }
+    const TileGeometry tile =
+        req.tile.enabled() ? TileGeometry{64, 64, req.tile.carry_fanout}
+                           : TileGeometry{};
+    Options opt;
+    opt.algorithm = algo;
+    opt.warp_scan = req.warp_scan;
+    opt.padded_smem = req.padded_smem;
+    Options native = opt;
+    native.backend = Backend::kNative;
+    // Checking rides on the engine so the temporal passes, which launch
+    // straight on it, are checked along with the frame SATs.
+    simt::Engine checked({.record_history = false, .check = true});
+    simt::Engine plain({.record_history = false});
+
+    for (const StreamUpdateMode mode :
+         {StreamUpdateMode::kIncremental, StreamUpdateMode::kRecompute}) {
+        SlidingWindowSat<Tout, Tin> sim(checked, kWindow, kProbeH, kProbeW,
+                                        opt, tile, mode);
+        SlidingWindowSat<Tout, Tin> nat(plain, kWindow, kProbeH, kProbeW,
+                                        native, tile, mode);
+        for (std::int64_t t = 0; t < kPushes; ++t) {
+            const auto& frame = frames[static_cast<std::size_t>(t)];
+            if (simt::total_hazards(sim.push(frame)) != 0)
+                return false;
+            nat.push(frame);
+            std::vector<const Matrix<Tin>*> window;
+            for (std::int64_t u = std::max<std::int64_t>(0, t - kWindow + 1);
+                 u <= t; ++u)
+                window.push_back(&frames[static_cast<std::size_t>(u)]);
+            const Matrix<Tout> got = sim.window_table();
+            if (!(got == window_sat_serial<Tout, Tin>(window)) ||
+                !(nat.window_table() == got))
+                return false;
+        }
+    }
+    return true;
+}
+
+bool default_certification_probe(Algorithm algo, const PlanRequest& req,
+                                 CertComponent component)
+{
+    if (component == CertComponent::kSat)
+        return sat_certification_probe(algo, req);
+    if (find_kernel(req.dtypes) == nullptr)
+        return false;
+    return visit_paper_pair(req.dtypes, [&](auto ti, auto to) {
+        return stream_certification_probe<typename decltype(ti)::type,
+                                          typename decltype(to)::type>(algo,
+                                                                       req);
+    });
+}
+
 } // namespace
 
-bool Runtime::certify(Algorithm algo, const PlanRequest& req)
+bool Runtime::certify(Algorithm algo, const PlanRequest& req,
+                      CertComponent component)
 {
     if (!native_supported(algo))
         return false;
-    const CertKey key{algo, req.dtypes, req.warp_scan, req.padded_smem,
+    const CertKey key{algo,
+                      req.dtypes,
+                      req.warp_scan,
+                      req.padded_smem,
                       req.tile.enabled(),
-                      static_cast<int>(req.query.index())};
+                      static_cast<int>(req.query.index()),
+                      component};
     CertificationProbe probe;
     {
         const std::lock_guard lk(cert_mutex_);
@@ -513,8 +602,8 @@ bool Runtime::certify(Algorithm algo, const PlanRequest& req)
     }
     // Probe outside the lock: probes run real (small) kernels, and
     // distinct configurations may certify concurrently.
-    const bool ok = probe ? probe(algo, req)
-                          : default_certification_probe(algo, req);
+    const bool ok = probe ? probe(algo, req, component)
+                          : default_certification_probe(algo, req, component);
     const std::lock_guard lk(cert_mutex_);
     return cert_cache_.emplace(key, ok).first->second;
 }

@@ -243,6 +243,13 @@ struct PlanRequest {
 
 class Runtime;
 
+/// What a hazard certificate covers (docs/backends.md).  kSat: the plan's
+/// SAT kernels, plus its consumer kernels when it carries a query.
+/// kStream: a StreamSession's sliding-window pipeline around those SATs --
+/// the temporal_add and window_update passes, in both update modes.  A
+/// stream session lowers to native only when both components certify.
+enum class CertComponent { kSat, kStream };
+
 /// A resolved execution recipe: dtype pair, algorithm, launch shapes and
 /// buffer sizes are fixed; execute() can run any number of same-shaped
 /// images.  Plans borrow their Runtime (pool + engine + cost model) and
@@ -365,6 +372,12 @@ public:
     /// execute() yields the query output (Plan::out_dtype()).
     [[nodiscard]] Plan plan_query(const PlanRequest& req);
 
+    /// Plan the frame builds of a streaming session (docs/streaming.md):
+    /// plan(), except that a native lowering also needs the stream
+    /// certificate (CertComponent::kStream) for the session's temporal
+    /// passes; without it the plan falls back to the simulator.
+    [[nodiscard]] Plan plan_stream(const PlanRequest& req);
+
     /// Serial host oracle for a query at any supported pair: what
     /// execute() of a query plan must reproduce (bit-exactly so for
     /// integer SAT dtypes).
@@ -399,19 +412,22 @@ public:
                                       Dtype out) const;
 
     /// Hazard certification (docs/backends.md): whether `algo` under the
-    /// request's (dtype pair, warp scan, smem padding, tiled?) config may
-    /// run on the native backend.  The verdict is computed once per config
-    /// by the certification probe -- by default a small ragged reference
-    /// run under the hazard checker plus a native-vs-simulator bit-exact
-    /// diff -- and cached for the Runtime's lifetime (thread safe).
-    [[nodiscard]] bool certify(Algorithm algo, const PlanRequest& req);
+    /// request's (dtype pair, warp scan, smem padding, tiled?, query kind)
+    /// config may run `component` on the native backend.  The verdict is
+    /// computed once per config and component by the certification probe
+    /// -- by default a small ragged reference run under the hazard checker
+    /// plus a native-vs-simulator bit-exact diff -- and cached for the
+    /// Runtime's lifetime (thread safe).
+    [[nodiscard]] bool certify(Algorithm algo, const PlanRequest& req,
+                               CertComponent component = CertComponent::kSat);
 
     /// Replace the certification probe (test seam: deliberately broken
     /// kernel fixtures certify through their own probe and must be refused
     /// the native backend).  Clears the certificate cache.  Pass nullptr
-    /// to restore the default probe.
+    /// to restore the default probe.  The probe is asked once per
+    /// configuration and component.
     using CertificationProbe =
-        std::function<bool(Algorithm, const PlanRequest&)>;
+        std::function<bool(Algorithm, const PlanRequest&, CertComponent)>;
     void set_certification_probe(CertificationProbe probe);
 
     [[nodiscard]] simt::Engine& engine() noexcept { return eng_; }
@@ -439,12 +455,16 @@ private:
         /// probed per consumer kind -- the spec's parameters (radius,
         /// window, bins) vary only predication, not phase structure.
         int query_kind;
+        /// Which pipeline around the SAT kernels the certificate covers.
+        CertComponent component;
         friend bool operator<(const CertKey& a, const CertKey& b)
         {
             return std::tie(a.algo, a.dtypes.in, a.dtypes.out, a.warp_scan,
-                            a.padded_smem, a.tiled, a.query_kind) <
+                            a.padded_smem, a.tiled, a.query_kind,
+                            a.component) <
                    std::tie(b.algo, b.dtypes.in, b.dtypes.out, b.warp_scan,
-                            b.padded_smem, b.tiled, b.query_kind);
+                            b.padded_smem, b.tiled, b.query_kind,
+                            b.component);
         }
     };
 

@@ -613,24 +613,29 @@ Plan& Service::plan_for(Worker& w, CacheEntry* entry)
                      .query = entry->key.query,
                      .query_mode = entry->key.query_mode};
 
-    std::lock_guard elk(entry->mu);
-    if (entry->resolved) {
-        // Another worker already paid the kAuto ranking; plan the concrete
-        // algorithm directly (identical Plan, no calibration pass).  The
-        // backend stays the requested one: certification is deterministic,
-        // so every worker resolves the same executing backend.
-        preq.algorithm = entry->resolved_algo;
+    Plan plan;
+    {
+        std::lock_guard elk(entry->mu);
+        if (entry->resolved) {
+            // Another worker already paid the kAuto ranking; plan the
+            // concrete algorithm directly (identical Plan, no calibration
+            // pass).  The backend stays the requested one: certification
+            // is deterministic, so every worker resolves the same
+            // executing backend.
+            preq.algorithm = entry->resolved_algo;
+        }
+        plan = w.rt->plan(preq);
+        if (!entry->resolved) {
+            entry->resolved_algo = plan.algorithm();
+            entry->resolved_backend = plan.backend();
+            entry->resolved_certified = plan.certified();
+            entry->resolved = true;
+            entry->metrics.backend_native->set(
+                plan.backend() == Backend::kNative ? 1 : 0);
+            entry->metrics.certified->set(plan.certified() ? 1 : 0);
+        }
     }
-    Plan plan = w.rt->plan(preq);
-    if (!entry->resolved) {
-        entry->resolved_algo = plan.algorithm();
-        entry->resolved_backend = plan.backend();
-        entry->resolved_certified = plan.certified();
-        entry->resolved = true;
-        entry->metrics.backend_native->set(
-            plan.backend() == Backend::kNative ? 1 : 0);
-        entry->metrics.certified->set(plan.certified() ? 1 : 0);
-    }
+    // mu_ only after entry->mu is released: plan_info() takes mu_ first.
     {
         std::lock_guard slk(mu_);
         ++stats_.plans_instantiated;
@@ -708,32 +713,40 @@ StreamSession::StreamSession(Service& svc, Options opt)
 
     // Resolve kAuto once per session on the session's own cost model, the
     // way a plan-cache entry's first submission does (deterministic:
-    // counter-based ranking).
-    const Plan probe = rt_->plan({.height = opt_.height,
-                                  .width = opt_.width,
-                                  .dtypes = opt_.dtypes,
-                                  .algorithm = opt_.algorithm,
-                                  .warp_scan = opt_.warp_scan,
-                                  .padded_smem = opt_.padded_smem,
-                                  .gpu = svc.opt_.gpu,
-                                  .tile = opt_.tile});
-    algo_ = probe.algorithm();
+    // counter-based ranking on the simulator).
+    PlanRequest req{.height = opt_.height,
+                    .width = opt_.width,
+                    .dtypes = opt_.dtypes,
+                    .algorithm = opt_.algorithm,
+                    .warp_scan = opt_.warp_scan,
+                    .padded_smem = opt_.padded_smem,
+                    .gpu = svc.opt_.gpu,
+                    .tile = opt_.tile};
+    req.algorithm = rt_->plan(req).algorithm();
+    // Then plan that algorithm for the native backend, which it gets only
+    // with both its SAT and its stream certificate.  A traced service
+    // keeps the session on the simulator, as `profile` does for traced
+    // request plans.
+    req.profile = svc.trace_ != nullptr;
+    req.backend = Backend::kNative;
+    plan_ = rt_->plan_stream(req);
     mode_ = resolve_stream_mode(opt_.mode, opt_.dtypes, opt_.height,
                                 opt_.width, opt_.window);
     label_ = plan_key_label(PlanKey{.height = opt_.height,
                                     .width = opt_.width,
                                     .dtypes = opt_.dtypes,
-                                    .algorithm = algo_,
+                                    .algorithm = plan_.algorithm(),
                                     .warp_scan = opt_.warp_scan,
                                     .padded_smem = opt_.padded_smem,
                                     .tile = opt_.tile}) +
              "/stream=" + std::to_string(opt_.window) + "/" +
              std::string(to_string(mode_));
 
-    const satgpu::sat::Options exec{.algorithm = algo_,
+    const satgpu::sat::Options exec{.algorithm = plan_.algorithm(),
                                     .warp_scan = opt_.warp_scan,
                                     .padded_smem = opt_.padded_smem,
-                                    .pool = &rt_->pool()};
+                                    .pool = &rt_->pool(),
+                                    .backend = plan_.backend()};
     visit_paper_pair(opt_.dtypes, [&](auto ti, auto to) {
         using Tin = typename decltype(ti)::type;
         using Tout = typename decltype(to)::type;
@@ -797,13 +810,13 @@ void StreamSession::push(const AnyMatrix& frame)
                                    .t_begin = t_begin,
                                    .t_end = t_end,
                                    .plan = label_,
-                                   .backend = Backend::kSim});
+                                   .backend = plan_.backend()});
         svc_->trace_->record_wave({.wave = wave_id,
                                    .worker = -1,
                                    .t_exec_begin = t_begin,
                                    .t_exec_end = t_end,
                                    .plan = label_,
-                                   .backend = Backend::kSim,
+                                   .backend = plan_.backend(),
                                    .launches = launches});
     }
 }
@@ -839,7 +852,12 @@ StreamUpdateMode StreamSession::mode() const noexcept
 
 Algorithm StreamSession::algorithm() const noexcept
 {
-    return algo_;
+    return plan_.algorithm();
+}
+
+Backend StreamSession::backend() const noexcept
+{
+    return plan_.backend();
 }
 
 const std::string& StreamSession::label() const noexcept

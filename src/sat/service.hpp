@@ -133,6 +133,10 @@ class Service;
 /// Execution is session-local: the session owns a private Runtime
 /// (Engine::launch is not reentrant, and worker runtimes are busy with
 /// submit() traffic), so pushes never contend with the request queue.
+/// open_stream resolves the algorithm on the simulator's counter ranking,
+/// then plans it for the native backend: pushes run native when the
+/// configuration is hazard certified (docs/backends.md) and the service
+/// does not trace, and on the simulator otherwise.
 /// push()/window_table() are mutex-serialized and safe to call from any
 /// thread; distinct sessions are independent.  A session borrows the
 /// Service (metrics, trace, clock) and must not outlive it.
@@ -180,10 +184,16 @@ public:
     [[nodiscard]] StreamUpdateMode mode() const noexcept;
     /// Resolved algorithm (never kAuto).
     [[nodiscard]] Algorithm algorithm() const noexcept;
+    /// Backend every push runs on (never kAuto): kNative when the
+    /// session's configuration holds both its SAT and its stream hazard
+    /// certificate and the service does not trace; kSim otherwise.
+    [[nodiscard]] Backend backend() const noexcept;
     /// Metric/trace label: plan_key_label of the resolved plan shape +
     /// "/stream=<T>/<mode>".  Deterministic, like plan labels.
     [[nodiscard]] const std::string& label() const noexcept;
     /// Device bytes the most recent push moved (LaunchStats counters).
+    /// Native pushes meter 0, like native request plans: the native
+    /// lowering carries no counters.
     [[nodiscard]] std::uint64_t last_push_bytes() const;
     /// Host bytes the ring currently holds resident (the streaming
     /// memory bound: occupancy * H * W * elem size).
@@ -200,9 +210,10 @@ private:
     Service* svc_;
     Options opt_;
     StreamUpdateMode mode_ = StreamUpdateMode::kIncremental;
-    Algorithm algo_ = Algorithm::kBrltScanRow;
     std::string label_;
     std::unique_ptr<Runtime> rt_;
+    /// Resolved plan; every push runs its algorithm on its backend.
+    Plan plan_;
     std::unique_ptr<Impl> impl_;
     obs::Counter* c_frames_ = nullptr;
     obs::Counter* c_bytes_ = nullptr;

@@ -79,16 +79,35 @@ void HazardChecker::record(HazardKind kind, const std::source_location& site,
     }
 }
 
-void HazardChecker::record_smem_access(bool is_store, std::int64_t byte_offset,
+HazardChecker::ElemShadow& HazardChecker::shadow_of(const SmemElem& elem)
+{
+    // Consecutive accesses almost always hit the same allocation, and a
+    // block has only a handful: a cached index plus a linear scan.
+    if (last_alloc_ >= shadow_.size() ||
+        shadow_[last_alloc_].offset != elem.alloc_offset) {
+        const auto it = std::find_if(
+            shadow_.begin(), shadow_.end(), [&](const AllocShadow& a) {
+                return a.offset == elem.alloc_offset;
+            });
+        last_alloc_ = static_cast<std::size_t>(it - shadow_.begin());
+        if (it == shadow_.end())
+            shadow_.push_back({elem.alloc_offset, {}});
+    }
+    std::vector<ElemShadow>& elems = shadow_[last_alloc_].elems;
+    const auto count = static_cast<std::size_t>(elem.alloc_count);
+    if (elems.size() < count)
+        elems.resize(count);
+    return elems[static_cast<std::size_t>(elem.index)];
+}
+
+void HazardChecker::record_smem_access(bool is_store, const SmemElem& elem,
                                        std::string_view alloc_name,
                                        const std::source_location& site)
 {
-    if (byte_offset < 0)
+    if (elem.index < 0 || elem.index >= elem.alloc_count)
         return;
-    const auto off = static_cast<std::size_t>(byte_offset);
-    if (off >= shadow_.size())
-        shadow_.resize(std::max(off + 1, shadow_.size() * 2));
-    ElemShadow& e = shadow_[off];
+    const std::int64_t byte_offset = elem.byte_offset();
+    ElemShadow& e = shadow_of(elem);
     if (e.block_seq != block_seq_) {
         e = ElemShadow{};
         e.block_seq = block_seq_;

@@ -54,6 +54,23 @@ namespace satgpu::simt {
 
 struct LaunchStats; // engine.hpp
 
+/// One shared-memory element as the checker keys its shadow state: the
+/// element's allocation (byte offset in the block's arena, element count,
+/// element size) and its index within it.  SmemView knows all four.
+struct SmemElem {
+    std::int64_t alloc_offset = 0;
+    std::int64_t alloc_count = 0;
+    std::int64_t elem_bytes = 0;
+    std::int64_t index = 0;
+
+    /// Byte offset of the element in the block's arena (what findings
+    /// report as their exemplar detail).
+    [[nodiscard]] std::int64_t byte_offset() const noexcept
+    {
+        return alloc_offset + index * elem_bytes;
+    }
+};
+
 enum class HazardKind : std::uint8_t {
     kSmemRaw,        ///< read of another warp's same-epoch write
     kSmemWar,        ///< write over another warp's same-epoch read
@@ -123,10 +140,9 @@ public:
     void barrier_release() noexcept { epoch_ += 1; }
 
     // -- instrumentation entry points ---------------------------------------
-    /// One lane's access to the shared-memory element starting at
-    /// `byte_offset` in the block's arena (SmemView::store/load call this
-    /// per active lane).
-    void record_smem_access(bool is_store, std::int64_t byte_offset,
+    /// One lane's access to shared-memory element `elem` of allocation
+    /// `alloc_name` (SmemView::store/load call this per active lane).
+    void record_smem_access(bool is_store, const SmemElem& elem,
                             std::string_view alloc_name,
                             const std::source_location& site);
     /// A barrier released while `finished_warp` had already returned;
@@ -148,11 +164,12 @@ public:
     [[nodiscard]] HazardReport build_report() const;
 
 private:
-    /// Shadow state of one shared-memory element (keyed by the byte offset
-    /// of its first byte; all accesses to an allocation use one element
-    /// type, enforced by SharedMemory::allocate_named, so offsets align).
-    /// `block_seq` makes invalidation lazy: entries from earlier blocks
-    /// read as untouched without a per-block clear pass.
+    /// Shadow state of one shared-memory element (all accesses to an
+    /// allocation use one element type, enforced by
+    /// SharedMemory::allocate_named, so an element index names the same
+    /// bytes for every access).  `block_seq` makes invalidation lazy:
+    /// entries from earlier blocks read as untouched without a per-block
+    /// clear pass.
     struct ElemShadow {
         std::uint64_t block_seq = 0;
         std::uint32_t write_epoch = 0;
@@ -163,6 +180,17 @@ private:
         std::source_location write_site{};
         std::source_location read_site{};
     };
+    /// The shadow of one allocation: one ElemShadow per element, sized to
+    /// the largest element count seen at its offset.
+    /// Allocations of one block never share an offset, so the offset is
+    /// the key; a later block reusing the offset for another layout is
+    /// told apart by block_seq.
+    struct AllocShadow {
+        std::int64_t offset = 0;
+        std::vector<ElemShadow> elems;
+    };
+
+    [[nodiscard]] ElemShadow& shadow_of(const SmemElem& elem);
 
     struct Key {
         HazardKind kind{};
@@ -193,7 +221,8 @@ private:
                 std::int64_t detail, int warp, int other_warp);
 
     std::map<Key, Accum> findings_;
-    std::vector<ElemShadow> shadow_; // grown lazily to the smem bytes used
+    std::vector<AllocShadow> shadow_; // one per allocation offset seen
+    std::size_t last_alloc_ = 0;      // shadow_ index of the last access
     std::uint64_t block_seq_ = 0;    // monotone per begin_block
     std::uint32_t epoch_ = 0;        // barrier epoch within the open block
     std::int64_t block_ = -1;        // linear index of the open block

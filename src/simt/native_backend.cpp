@@ -47,16 +47,23 @@ LaunchStats native_launch(const Engine::Options& opt, const KernelInfo& info,
     std::atomic<std::int64_t> next{0};
     auto worker = [&] {
         std::int64_t local_peak = 0;
+        // One context per worker, reset before each block: the reset
+        // zeroes only the bytes the previous block allocated, where a
+        // fresh context would clear the whole smem capacity.
+        std::optional<NativeBlockCtx> blk;
         for (;;) {
             const std::int64_t lin =
                 next.fetch_add(1, std::memory_order_relaxed);
             if (lin >= total)
                 break;
             try {
-                NativeBlockCtx blk(block_from_linear(lin, cfg.grid), cfg,
-                                   opt.smem_capacity_bytes);
-                program(blk);
-                local_peak = std::max(local_peak, blk.smem_bytes_used());
+                const Dim3 idx = block_from_linear(lin, cfg.grid);
+                if (blk)
+                    blk->reset(idx);
+                else
+                    blk.emplace(idx, cfg, opt.smem_capacity_bytes);
+                program(*blk);
+                local_peak = std::max(local_peak, blk->smem_bytes_used());
             } catch (...) {
                 const std::lock_guard<std::mutex> lock(mu);
                 if (!fault || lin < fault->linear)

@@ -69,6 +69,8 @@ public:
     }
 
 private:
+    friend class NativeBlockCtx; // rebinds block_idx_ on reset()
+
     Dim3 block_idx_;
     LaunchConfig cfg_;
     int warp_id_;
@@ -77,7 +79,8 @@ private:
 
 /// One block's native execution context: owns the block's shared-memory
 /// arena and hands out a NativeWarpCtx per warp.  Confined to the one host
-/// thread running the block, like the simulator's per-block state.
+/// thread running the block, like the simulator's per-block state;
+/// native_launch builds one per worker and reset()s it between blocks.
 class NativeBlockCtx {
 public:
     NativeBlockCtx(Dim3 block_idx, const LaunchConfig& cfg,
@@ -105,6 +108,16 @@ public:
     [[nodiscard]] std::int64_t smem_bytes_used() const noexcept
     {
         return smem_.bytes_used();
+    }
+
+    /// Rebind the context to another block of the same launch.  The block
+    /// sees what a freshly constructed context would show it: an all-zero
+    /// arena with no named allocations.
+    void reset(Dim3 block_idx) noexcept
+    {
+        smem_.reset();
+        for (NativeWarpCtx& w : warps_)
+            w.block_idx_ = block_idx;
     }
 
 private:

@@ -13,7 +13,8 @@
 // 32x33 padded layout (Alg. 5 line 2) is conflict free while a 32x32 layout
 // serializes 32-way on column access.  When a HazardChecker is installed
 // (Engine::Options::check), every active lane's access also feeds the
-// per-element shadow state behind the racecheck-style hazard reports.
+// per-element shadow state behind the racecheck-style hazard reports,
+// keyed by (allocation, element index).
 #pragma once
 
 #include "core/check.hpp"
@@ -55,6 +56,17 @@ public:
     [[nodiscard]] std::int64_t capacity() const noexcept
     {
         return static_cast<std::int64_t>(arena_.size());
+    }
+
+    /// Return the arena to its freshly constructed state for the next
+    /// block: every byte an earlier block could have written (all of
+    /// [0, bytes_used())) reads zero again and no named allocation
+    /// survives.  Costs O(bytes used), not O(capacity).
+    void reset() noexcept
+    {
+        std::fill_n(arena_.begin(), used_, std::byte{0});
+        used_ = 0;
+        named_.clear();
     }
 
 private:
@@ -139,12 +151,12 @@ public:
             const std::int64_t i = idx.get(l);
             SATGPU_CHECK(i >= 0 && i < count_, "smem store out of bounds");
             b[i] = val.get(l);
-            const std::int64_t byte_off =
+            addrs[static_cast<std::size_t>(l)] =
                 base_offset_ + i * static_cast<std::int64_t>(sizeof(T));
-            addrs[static_cast<std::size_t>(l)] = byte_off;
             if (hc)
-                hc->record_smem_access(/*is_store=*/true, byte_off, name_,
-                                       site);
+                hc->record_smem_access(
+                    /*is_store=*/true,
+                    {base_offset_, count_, sizeof(T), i}, name_, site);
         }
         if (PerfCounters* c = current_counters()) {
             const auto passes = static_cast<std::uint64_t>(
@@ -187,12 +199,12 @@ public:
             const std::int64_t i = idx.get(l);
             SATGPU_CHECK(i >= 0 && i < count_, "smem load out of bounds");
             r.set(l, b[i]);
-            const std::int64_t byte_off =
+            addrs[static_cast<std::size_t>(l)] =
                 base_offset_ + i * static_cast<std::int64_t>(sizeof(T));
-            addrs[static_cast<std::size_t>(l)] = byte_off;
             if (hc)
-                hc->record_smem_access(/*is_store=*/false, byte_off, name_,
-                                       site);
+                hc->record_smem_access(
+                    /*is_store=*/false,
+                    {base_offset_, count_, sizeof(T), i}, name_, site);
         }
         if (PerfCounters* c = current_counters()) {
             const auto passes = static_cast<std::uint64_t>(

@@ -172,6 +172,28 @@ TEST(HazardBroken, UnsyncedSmemTileFlaggedAtExactSite)
     EXPECT_EQ(raw->other_warp, 0); // warp 0 wrote during its scan
 }
 
+// A finding's exemplar reports the element's byte offset in the block's
+// arena, whatever the shadow is keyed by: the unsynced carry's
+// block-total load races at byte 896.
+TEST(HazardBroken, SeededRaceKeepsItsByteOffset)
+{
+    simt::Engine eng({.record_history = false, .check = true});
+    const auto run = sat::broken::run_unsynced_smem_tile(eng);
+    ASSERT_NE(run.stats.hazards, nullptr);
+    const std::string want_site =
+        std::string(sat::broken::kFile) + ":" +
+        std::to_string(sat::broken::carry_load_line());
+    const simt::Hazard* raw = nullptr;
+    for (const auto& h : run.stats.hazards->hazards)
+        if (h.kind == simt::HazardKind::kSmemRaw && h.site == want_site)
+            raw = &h;
+    ASSERT_NE(raw, nullptr);
+    EXPECT_EQ(raw->detail, 896);
+    EXPECT_EQ(raw->count, 224u);
+    EXPECT_EQ(raw->first_block, 0);
+    EXPECT_EQ(raw->warp, 1);
+}
+
 // The aggregated report -- and its serialized bytes -- are identical for
 // every engine thread count, like the counters themselves.  A multi-block
 // broken launch exercises the per-worker merge.
@@ -325,6 +347,48 @@ TEST(HazardUnit, MaskedIntrinsicsInsideActiveSetAreClean)
         chk.end_block();
     }
     EXPECT_TRUE(chk.build_report().clean());
+}
+
+// The shadow is kept per allocation, one entry per element: a u8 and a
+// u32 allocation of one block never alias, and a finding still reports
+// the element's byte offset in the block's arena.
+TEST(HazardUnit, AllocationsKeepSeparateShadows)
+{
+    simt::SharedMemory smem(1024);
+    auto bytes = smem.alloc<std::uint8_t>("bytes", 5);   // arena [0, 5)
+    auto words = smem.alloc<std::uint32_t>("words", 4);  // arena [8, 24)
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    simt::HazardChecker chk;
+    {
+        const simt::HazardCheckerScope scope(&chk);
+        chk.begin_block(0);
+        chk.set_active_warp(0);
+        bytes.store(lane, LaneVec<std::uint8_t>::broadcast(1),
+                    simt::lanes_in_range(0, 5));
+        words.store(lane, LaneVec<std::uint32_t>::broadcast(2),
+                    simt::lanes_in_range(0, 4));
+        chk.barrier_release();
+        // Warp 1 rewrites every word; the bytes keep warp 0's epoch-0
+        // writes, so warp 2's byte reads are clean...
+        chk.set_active_warp(1);
+        words.store(lane, LaneVec<std::uint32_t>::broadcast(3),
+                    simt::lanes_in_range(0, 4));
+        chk.set_active_warp(2);
+        (void)bytes.load(lane, simt::lanes_in_range(0, 5));
+        // ...while its read of word 2 races warp 1's write.
+        (void)words.load(lane, simt::LaneMask{1} << 2);
+        chk.set_active_warp(-1);
+        chk.end_block();
+    }
+    const auto report = chk.build_report();
+    ASSERT_EQ(report.hazards.size(), 1u);
+    const simt::Hazard& h = report.hazards.front();
+    EXPECT_EQ(h.kind, simt::HazardKind::kSmemRaw);
+    EXPECT_EQ(h.note, "words");
+    EXPECT_EQ(h.count, 1u);
+    EXPECT_EQ(h.detail, 8 + 2 * 4); // byte offset of word 2
+    EXPECT_EQ(h.warp, 2);
+    EXPECT_EQ(h.other_warp, 1);
 }
 
 // -------------------------------------------------------------- plumbing ----

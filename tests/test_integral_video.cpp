@@ -358,6 +358,8 @@ TEST(StreamSession, PushQueryAndObservabilityThroughService)
     for (const auto& f : frames)
         session->push(sat::AnyMatrix(f));
     EXPECT_EQ(session->frames_pushed(), 5);
+    // A traced service keeps its sessions on the instrumented simulator.
+    EXPECT_EQ(session->backend(), sat::Backend::kSim);
     EXPECT_GT(session->last_push_bytes(), 0u);
     EXPECT_EQ(session->ring_bytes(), 3u * 24 * 40 * sizeof(satgpu::u32));
 
@@ -377,6 +379,89 @@ TEST(StreamSession, PushQueryAndObservabilityThroughService)
     EXPECT_NE(text.find(session->label()), std::string::npos);
     EXPECT_EQ(trace.span_count(), 5u); // one plan.execute span per push
     EXPECT_EQ(trace.wave_count(), 5u);
+}
+
+namespace {
+
+/// An untraced session plans native (both certificates hold) and every
+/// native push stays bit-exact against the serial window oracle, through
+/// two ring wraparounds.  The algorithm is pinned: at this size the
+/// simulator ranking picks NPP, which has no native lowering.
+template <typename Tin, typename Tout>
+void expect_native_session_bit_exact(sat::Algorithm algo,
+                                     sat::StreamUpdateMode mode)
+{
+    constexpr std::int64_t kH = 37, kW = 45, kWindow = 3;
+    sat::Service svc;
+    auto session =
+        svc.open_stream({.height = kH,
+                         .width = kW,
+                         .dtypes = satgpu::make_pair_of<Tin, Tout>(),
+                         .window = kWindow,
+                         .algorithm = algo,
+                         .mode = mode,
+                         .engine_threads = 2});
+    ASSERT_EQ(session->backend(), sat::Backend::kNative);
+    ASSERT_EQ(session->mode(), mode);
+    const auto frames = make_frames<Tin>(2 * kWindow + 1, kH, kW, 4711);
+    for (std::int64_t t = 0; t < std::ssize(frames); ++t) {
+        session->push(sat::AnyMatrix(frames[static_cast<std::size_t>(t)]));
+        std::vector<const Matrix<Tin>*> in_window;
+        for (std::int64_t u = std::max<std::int64_t>(0, t - kWindow + 1);
+             u <= t; ++u)
+            in_window.push_back(&frames[static_cast<std::size_t>(u)]);
+        ASSERT_EQ(session->window_table().template as<Tout>(),
+                  (sat::window_sat_serial<Tout, Tin>(
+                      std::span<const Matrix<Tin>* const>(in_window))))
+            << "push " << t << " mode " << sat::to_string(mode);
+        // The native lowering carries no byte counters.
+        EXPECT_EQ(session->last_push_bytes(), 0u);
+    }
+}
+
+} // namespace
+
+TEST(StreamSession, UntracedSessionsRunNativeBitExact)
+{
+    for (const auto mode : {sat::StreamUpdateMode::kIncremental,
+                            sat::StreamUpdateMode::kRecompute}) {
+        expect_native_session_bit_exact<satgpu::u8, satgpu::u32>(
+            sat::Algorithm::kBrltScanRow, mode);
+        expect_native_session_bit_exact<satgpu::f32, satgpu::f32>(
+            sat::Algorithm::kScanRowBrlt, mode);
+        expect_native_session_bit_exact<satgpu::f64, satgpu::f64>(
+            sat::Algorithm::kScanRowColumn, mode);
+    }
+}
+
+// The stream certificate is its own CertKey component: a probe that
+// refuses it keeps stream plans on the simulator while plain plans of the
+// same configuration still lower to native, and the refusal is cached.
+TEST(StreamSession, RefusedStreamCertificateKeepsTheSimulator)
+{
+    const sat::PlanRequest req{.height = 37,
+                               .width = 45,
+                               .algorithm = sat::Algorithm::kBrltScanRow,
+                               .backend = sat::Backend::kNative};
+    sat::Runtime rt;
+    EXPECT_TRUE(rt.certify(req.algorithm, req, sat::CertComponent::kStream));
+    EXPECT_EQ(rt.plan_stream(req).backend(), sat::Backend::kNative);
+
+    int stream_probes = 0;
+    rt.set_certification_probe([&](sat::Algorithm, const sat::PlanRequest&,
+                                   sat::CertComponent c) {
+        if (c != sat::CertComponent::kStream)
+            return true;
+        ++stream_probes;
+        return false;
+    });
+    EXPECT_EQ(rt.plan(req).backend(), sat::Backend::kNative);
+    const sat::Plan p = rt.plan_stream(req);
+    EXPECT_EQ(p.backend(), sat::Backend::kSim);
+    EXPECT_FALSE(p.certified());
+    EXPECT_EQ(p.algorithm(), sat::Algorithm::kBrltScanRow);
+    (void)rt.plan_stream(req);
+    EXPECT_EQ(stream_probes, 1);
 }
 
 TEST(StreamSession, RequestTrafficAndStreamsShareOneService)

@@ -362,8 +362,9 @@ TEST(NativeBackend, AutoScoresCarryBackendAndCertification)
     EXPECT_EQ(plan.algorithm(), plan.scores().front().algo);
     EXPECT_EQ(plan.backend(), plan.scores().front().backend);
     for (const auto& s : plan.scores()) {
-        if (s.backend == sat::Backend::kNative)
+        if (s.backend == sat::Backend::kNative) {
             EXPECT_TRUE(s.certified) << sat::to_string(s.algo);
+        }
         EXPECT_GT(s.predicted_us, 0.0) << sat::to_string(s.algo);
     }
 }
@@ -381,7 +382,8 @@ TEST(NativeBackend, BrokenFixtureIsRefusedNativeExecution)
                                .backend = sat::Backend::kNative};
 
     int probe_calls = 0;
-    rt.set_certification_probe([&](sat::Algorithm, const sat::PlanRequest&) {
+    rt.set_certification_probe([&](sat::Algorithm, const sat::PlanRequest&,
+                                   sat::CertComponent) {
         ++probe_calls;
         simt::Engine::Options opt;
         opt.record_history = false;
@@ -431,6 +433,53 @@ TEST(NativeBackend, UnsyncedCarryFixtureAlsoConvicts)
     EXPECT_TRUE(tiled.output_correct);
     ASSERT_NE(tiled.stats.hazards, nullptr);
     EXPECT_FALSE(tiled.stats.hazards->clean());
+}
+
+// One worker runs every block through one reused context: each block must
+// still find an all-zero arena with no allocations, whatever layout and
+// element type the block before it used and dirtied.
+TEST(NativeBackend, ReusedBlockContextStartsEveryBlockZeroed)
+{
+    constexpr std::int64_t kBlocks = 48;
+    const simt::LaunchConfig cfg{{kBlocks, 1, 1}, {2 * kWarpSize, 1, 1}};
+    const simt::KernelInfo info{"dirty_arena", 32, 0};
+    std::int64_t dirty_entries = 0; // one worker thread: no race
+    std::int64_t want_peak = 0;
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    const auto stats = simt::native_launch(
+        {.record_history = false, .num_threads = 1}, info, cfg,
+        [&](simt::NativeBlockCtx& blk) {
+            const std::int64_t b = blk.block_idx().x;
+            // Three layouts in rotation, each larger than the last, so
+            // later allocations cover bytes earlier blocks wrote.
+            const std::int64_t n = 64 * (1 + b % 3);
+            auto& w = blk.warp(static_cast<int>(b % 2));
+            auto check_and_dirty = [&]<typename T>(const char* name,
+                                                   std::int64_t count) {
+                auto view = w.template smem_alloc<T>(name, count);
+                for (std::int64_t base = 0; base < count; base += kWarpSize) {
+                    const auto idx = lane + base;
+                    const LaneMask m = simt::lanes_in_range(base, count);
+                    const auto v = view.load(idx, m);
+                    for (int l = 0; l < kWarpSize; ++l)
+                        if (simt::lane_active(m, l) && v.get(l) != T{})
+                            ++dirty_entries;
+                    view.store(idx, LaneVec<T>::broadcast(static_cast<T>(b + 1)),
+                               m);
+                }
+            };
+            if (b % 2 == 0) {
+                check_and_dirty.template operator()<std::uint32_t>("words", n);
+                check_and_dirty.template operator()<double>("wide", n / 2);
+            } else {
+                check_and_dirty.template operator()<std::uint8_t>("bytes", n);
+                check_and_dirty.template operator()<double>("wide", n);
+            }
+            want_peak = std::max(want_peak, blk.smem_bytes_used());
+        });
+    EXPECT_EQ(dirty_entries, 0);
+    EXPECT_EQ(stats.smem_used_bytes, want_peak);
+    EXPECT_EQ(stats.counters.blocks, static_cast<std::uint64_t>(kBlocks));
 }
 
 // ------------------------------------------------------------- service ----

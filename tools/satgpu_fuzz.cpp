@@ -30,7 +30,10 @@
 //                             through an incremental SlidingWindowSat AND
 //                             its from-scratch recompute twin, demanding
 //                             both window aggregates equal the serial
-//                             window oracle bit for bit after EVERY push
+//                             window oracle bit for bit after EVERY push;
+//                             configurations holding both the SAT and the
+//                             stream certificate replay through native
+//                             twins of both as well
 //
 // On mismatch the tool prints the failing seed plus the full sampled
 // configuration and exits 1; re-running `satgpu_fuzz --seed S` replays that
@@ -46,6 +49,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -408,7 +412,9 @@ StreamConfig sample_stream(std::uint64_t seed)
 /// SlidingWindowSat and its from-scratch recompute twin, demanding both
 /// aggregates equal the serial window oracle bit for bit after every push
 /// -- including the warm-up pushes before the first wraparound and every
-/// ring slot reuse after it.
+/// ring slot reuse after it.  When the configuration certifies for a
+/// native stream (Runtime::plan_stream), native twins of both modes run
+/// the same sequence and face the same oracle.
 bool run_one_stream_diff(const FuzzConfig& c, bool verbose)
 {
     // The recompute twin and the serial oracle both rebuild T SATs per
@@ -425,6 +431,15 @@ bool run_one_stream_diff(const FuzzConfig& c, bool verbose)
         sc.algo = sat::Algorithm::kBrltScanRow;
     const StreamConfig st = sample_stream(c.seed);
     std::mt19937_64 delta_rng(c.seed ^ 0xde17a5eedf00d1ull);
+    const bool native =
+        runtime_for(sc.threads)
+            .plan_stream({.height = sc.h,
+                          .width = sc.w,
+                          .dtypes = sc.pair,
+                          .algorithm = sc.algo,
+                          .tile = sc.tile,
+                          .backend = sat::Backend::kNative})
+            .backend() == sat::Backend::kNative;
 
     return visit_paper_pair(sc.pair, [&](auto ti, auto to) {
         using Tin = typename decltype(ti)::type;
@@ -439,6 +454,15 @@ bool run_one_stream_diff(const FuzzConfig& c, bool verbose)
         sat::SlidingWindowSat<Tout, Tin> rec(
             eng, st.window, sc.h, sc.w, opt, sc.tile,
             sat::StreamUpdateMode::kRecompute);
+        const sat::Options nat_opt{.algorithm = sc.algo,
+                                   .backend = sat::Backend::kNative};
+        std::optional<sat::SlidingWindowSat<Tout, Tin>> inc_nat, rec_nat;
+        if (native) {
+            inc_nat.emplace(eng, st.window, sc.h, sc.w, nat_opt, sc.tile,
+                            sat::StreamUpdateMode::kIncremental);
+            rec_nat.emplace(eng, st.window, sc.h, sc.w, nat_opt, sc.tile,
+                            sat::StreamUpdateMode::kRecompute);
+        }
 
         std::vector<Matrix<Tin>> frames;
         Matrix<Tin> frame(sc.h, sc.w);
@@ -458,6 +482,10 @@ bool run_one_stream_diff(const FuzzConfig& c, bool verbose)
             frames.push_back(frame);
             inc.push(frame);
             rec.push(frame);
+            if (native) {
+                inc_nat->push(frame);
+                rec_nat->push(frame);
+            }
 
             std::vector<const Matrix<Tin>*> in_window;
             for (std::int64_t u =
@@ -482,12 +510,18 @@ bool run_one_stream_diff(const FuzzConfig& c, bool verbose)
                 return fail("incremental");
             if (!(rec.window_table() == want))
                 return fail("recompute");
+            if (native && !(inc_nat->window_table() == want))
+                return fail("native incremental");
+            if (native && !(rec_nat->window_table() == want))
+                return fail("native recompute");
         }
         if (verbose)
             std::cout << "seed " << sc.seed << ": " << describe(sc)
                       << " window " << st.window << " extra " << st.extra
                       << " deltas " << st.deltas << " -> " << pushes
-                      << " push(es), incremental and recompute bit-exact\n";
+                      << " push(es), incremental and recompute"
+                      << (native ? " (simulator and native)" : "")
+                      << " bit-exact\n";
         return true;
     });
 }
@@ -629,9 +663,11 @@ int main(int argc, char** argv)
                    "             the serial query oracle bit for bit\n"
                    "  --stream-diff: replay a random frame-delta sequence\n"
                    "             through an incremental sliding-window SAT\n"
-                   "             and its from-scratch recompute twin;\n"
-                   "             demand both equal the serial window\n"
-                   "             oracle bit for bit after every push\n";
+                   "             and its from-scratch recompute twin\n"
+                   "             (plus native twins of both when the\n"
+                   "             configuration certifies); demand all\n"
+                   "             equal the serial window oracle bit for\n"
+                   "             bit after every push\n";
             return arg == "--help" || arg == "-h" ? 0 : 2;
         }
     }
@@ -665,7 +701,7 @@ int main(int argc, char** argv)
                       ? "serial oracle (fused vs materialized query diff)\n"
                   : stream_diff
                       ? "serial oracle (incremental vs recompute stream "
-                        "diff)\n"
+                        "diff, native twins where certified)\n"
                       : (service ? "serial oracle (service mode)\n"
                                  : "serial oracle\n"));
     return 0;
